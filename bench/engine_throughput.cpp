@@ -29,10 +29,10 @@
 //
 // --artifact-dir enables the model-artifact stage in DIR: save latency,
 // cold-mmap vs registry-cached load latency, mapped-model serving
-// throughput (both traversal flavors, parity-checked against the
-// in-memory compiled artifact), and the fleet redeploy numbers —
-// swap-from-disk latency plus time to the first window classified after
-// the swap, measured under live ThreadPoolBackend ingest.
+// throughput (parity-checked against the in-memory compiled artifact),
+// and the fleet redeploy numbers — swap-from-disk latency plus time to
+// the first window classified after the swap, measured under live
+// ThreadPoolBackend ingest.
 //
 // The wire stage prices the cross-process serving tier: by default a
 // ShardServer is started in-process on a loopback unix socket and the
@@ -356,7 +356,6 @@ struct ArtifactResult {
   double cached_open_ms = 0.0;  // registry LRU hit
   double compiled_wps = 0.0;    // in-memory baseline, same batch loop
   double mapped_wps = 0.0;
-  double mapped_simd_wps = 0.0;
   bool parity = false;
   double swap_cold_ms = 0.0;  // replaced file: stat + mmap + deploy
   double swap_warm_ms = 0.0;  // cached mapping: stat + deploy
@@ -446,11 +445,8 @@ ArtifactResult artifact_stage(
 
   // Serving throughput + parity: mapped models must match the in-memory
   // compiled artifact bit for bit while serving straight from the file.
-  const auto mapped_simd =
-      ml::load_artifact(path, ml::InferenceBackend::kSimd);
   result.compiled_wps = serving_wps(*compiled, rows, 100000);
   result.mapped_wps = serving_wps(*mapped, rows, 100000);
-  result.mapped_simd_wps = serving_wps(*mapped_simd, rows, 100000);
   {
     Matrix batch = rows;
     RealVector proba_compiled;
@@ -657,8 +653,6 @@ void write_json(
                  artifact->cached_open_ms);
     std::fprintf(f, "    \"compiled_wps\": %.1f,\n", artifact->compiled_wps);
     std::fprintf(f, "    \"mapped_wps\": %.1f,\n", artifact->mapped_wps);
-    std::fprintf(f, "    \"mapped_simd_wps\": %.1f,\n",
-                 artifact->mapped_simd_wps);
     std::fprintf(f, "    \"parity\": %s,\n",
                  artifact->parity ? "true" : "false");
     std::fprintf(f, "    \"swap_cold_ms\": %.3f,\n", artifact->swap_cold_ms);
@@ -841,7 +835,6 @@ int main(int argc, char** argv) {
     std::printf("compiled serving     %10.0f w/s\n", artifact.compiled_wps);
     std::printf("mapped serving       %10.0f w/s  (parity %s)\n",
                 artifact.mapped_wps, artifact.parity ? "ok" : "FAILED");
-    std::printf("mapped+simd serving  %10.0f w/s\n", artifact.mapped_simd_wps);
     std::printf("swap from disk cold  %10.3f ms   (replaced file, remap)\n",
                 artifact.swap_cold_ms);
     std::printf("swap from disk warm  %10.3f ms   (registry cache hit)\n",

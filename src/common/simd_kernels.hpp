@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "common/simd.hpp"
 
@@ -283,62 +282,6 @@ ESL_SIMD_INLINE void dwt_periodic_analysis(const Real* x, std::size_t n,
     }
     approx[i] = a;
     detail[i] = d;
-  }
-}
-
-// -------------------------------------------------------- forest traversal
-
-/// Rows advanced together through one tree; matches CompiledForest's
-/// block so both traversals have the same cache geometry.
-constexpr std::size_t k_forest_block = 16;
-
-template <int D>
-ESL_SIMD_INLINE void forest_accumulate(const ForestView& f, const Real* rows,
-                                       std::size_t row_count,
-                                       std::size_t stride, Real* proba) {
-  using P = Pack<Real, D>;
-  std::uint32_t node[k_forest_block];
-  std::uint32_t flat[D];
-  for (std::size_t r0 = 0; r0 < row_count; r0 += k_forest_block) {
-    const std::size_t block = row_count - r0 < k_forest_block
-                                  ? row_count - r0
-                                  : k_forest_block;
-    const Real* block_rows = rows + r0 * stride;
-    for (std::size_t t = 0; t < f.tree_count; ++t) {
-      const std::uint32_t root = f.tree_root[t];
-      const std::uint32_t depth = f.tree_depth[t];
-      for (std::size_t i = 0; i < block; ++i) {
-        node[i] = root;
-      }
-      for (std::uint32_t level = 0; level < depth; ++level) {
-        std::size_t i = 0;
-        for (; i + D <= block; i += D) {
-          // Pack compare over gather-lite loads; the child pick is index
-          // arithmetic (2*cur + go_right), not floating point, so every
-          // width walks the exact same path.
-          const P thr = P::gather(f.threshold, node + i);
-          for (int lane = 0; lane < D; ++lane) {
-            flat[lane] = static_cast<std::uint32_t>((i + lane) * stride) +
-                         f.feature[node[i + lane]];
-          }
-          const P val = P::gather(block_rows, flat);
-          const simd::Mask<Real, D> go_left = simd::le(val, thr);
-          for (int lane = 0; lane < D; ++lane) {
-            const std::uint32_t cur = node[i + lane];
-            node[i + lane] =
-                f.children[2 * cur + (go_left.lane(lane) ? 0u : 1u)];
-          }
-        }
-        for (; i < block; ++i) {
-          const std::uint32_t cur = node[i];
-          const Real value = block_rows[i * stride + f.feature[cur]];
-          node[i] = f.children[2 * cur + (value <= f.threshold[cur] ? 0u : 1u)];
-        }
-      }
-      for (std::size_t i = 0; i < block; ++i) {
-        proba[r0 + i] += f.leaf_value[node[i]];
-      }
-    }
   }
 }
 

@@ -88,15 +88,6 @@ class RealtimeDetector {
   /// a fresh artifact from the current fit.
   std::shared_ptr<const ml::CompiledForest> compile() const;
 
-  /// Backend-selecting overload, delegating to the ml::compile factory
-  /// seam: kCompiled returns the flat artifact above, kSimd wraps it in
-  /// the explicit-SIMD traversal (ml/simd_forest.hpp). All backends
-  /// classify bit-identically, so the choice is purely an
-  /// execution-speed decision and the artifacts are hot-swappable for
-  /// each other mid-stream.
-  std::shared_ptr<const ml::InferenceModel> compile(
-      ml::InferenceBackend backend) const;
-
   /// Confusion matrix of the detector against ground-truth intervals.
   ml::ConfusionMatrix evaluate(const signal::EegRecord& record,
                                const std::vector<signal::Interval>& truth) const;

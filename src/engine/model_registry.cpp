@@ -88,10 +88,10 @@ std::shared_ptr<const ml::InferenceModel> ModelRegistry::open(
     return it->second.model;
   }
 
-  // Cold key or replaced file: map the artifact fresh. Mapping is
-  // O(header) — the arrays page in lazily on first traversal.
+  // Cold key or replaced file: map the artifact fresh. Mapping copies
+  // no array; load_artifact validates them in one O(node_count) pass.
   Entry entry;
-  entry.model = ml::load_artifact(path, config_.backend);
+  entry.model = ml::load_artifact(path);
   entry.file_bytes = file_bytes;
   entry.mtime_ns = mtime_ns;
   entry.last_used = ++tick_;

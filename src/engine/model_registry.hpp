@@ -38,9 +38,6 @@ namespace esl::engine {
 struct RegistryConfig {
   /// Directory holding one artifact file per patient key.
   std::string directory;
-  /// Traversal flavor for every mapped model (the same enum
-  /// ml::compile / RealtimeDetector::compile use).
-  ml::InferenceBackend backend = ml::InferenceBackend::kCompiled;
   /// Max cached mappings; least-recently-opened entries are dropped
   /// beyond this (their mappings survive in any session still holding
   /// the model).

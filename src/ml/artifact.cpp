@@ -82,8 +82,9 @@ void validate(const ArtifactHeader& header, std::size_t file_bytes) {
           "artifact: file length mismatch (truncated or trailing bytes)");
 }
 
-void validate_payload(const ArtifactHeader& header,
-                      const FlatForest& forest) {
+void validate_payload(const ArtifactView& view) {
+  const ArtifactHeader& header = view.header;
+  const FlatForest& forest = view.forest;
   const auto n = static_cast<std::uint32_t>(header.node_count);
   for (std::size_t t = 0; t < forest.tree_root.size(); ++t) {
     expects(forest.tree_root[t] < n,
@@ -92,17 +93,17 @@ void validate_payload(const ArtifactHeader& header,
             "artifact: tree depth exceeds the declared maximum");
   }
   for (std::size_t i = 0; i < forest.feature.size(); ++i) {
-    expects(forest.left[i] < n, "artifact: left child outside the node arrays");
-    expects(forest.right[i] < n,
+    expects(view.left[i] < n, "artifact: left child outside the node arrays");
+    expects(view.right[i] < n,
             "artifact: right child outside the node arrays");
-    // The SIMD traversal gathers through the interleaved pairs; a
-    // mismatch against left/right would silently diverge the two
-    // backends (same bytes, different detections), so it is malformed.
-    expects(forest.children[2 * i] == forest.left[i] &&
-                forest.children[2 * i + 1] == forest.right[i],
+    // Traversal reads only the interleaved pairs; a mismatch against
+    // left/right means the file disagrees with itself (a reader of the
+    // split arrays would detect differently), so it is malformed.
+    expects(forest.children[2 * i] == view.left[i] &&
+                forest.children[2 * i + 1] == view.right[i],
             "artifact: interleaved children disagree with left/right");
-    // predict_flat_* bound row width against header.max_feature; a
-    // feature id past it would gather outside the batch rows.
+    // predict_flat bounds row width against header.max_feature; a
+    // feature id past it would read outside the batch rows.
     expects(forest.feature[i] <= header.max_feature,
             "artifact: feature id exceeds the declared maximum");
   }
@@ -137,30 +138,32 @@ ArtifactView bind_artifact(std::span<const std::byte> bytes) {
   };
   view.forest.feature = u32_at(layout.feature, n);
   view.forest.threshold = real_at(layout.threshold, n);
-  view.forest.left = u32_at(layout.left, n);
-  view.forest.right = u32_at(layout.right, n);
   view.forest.children = u32_at(layout.children, 2 * n);
   view.forest.leaf_value = real_at(layout.leaf_value, n);
   view.forest.tree_root = u32_at(layout.tree_root, t);
   view.forest.tree_depth = u32_at(layout.tree_depth, t);
+  view.left = u32_at(layout.left, n);
+  view.right = u32_at(layout.right, n);
   view.forest.decision_threshold = view.header.decision_threshold;
   view.forest.max_feature = view.header.max_feature;
   view.scaler_mean = real_at(layout.scaler_mean, w);
   view.scaler_stddev = real_at(layout.scaler_stddev, w);
 
-  validate_payload(view.header, view.forest);
+  validate_payload(view);
   return view;
 }
 
 void save_artifact(const std::string& path, const CompiledForest& forest) {
-  const RowScaler& scaler = forest.scaler();
-  ensures(scaler.stddev.size() == scaler.mean.size(),
+  const FlatForest& flat = forest.view();
+  const std::span<const Real> mean = forest.scaler_mean();
+  const std::span<const Real> stddev = forest.scaler_stddev();
+  ensures(stddev.size() == mean.size(),
           "save_artifact: scaler mean/stddev width mismatch");
 
   ArtifactHeader header;
   header.node_count = forest.node_count();
   header.tree_count = forest.tree_count();
-  header.scaler_width = scaler.mean.size();
+  header.scaler_width = mean.size();
   header.decision_threshold = forest.decision_threshold();
   header.max_depth = forest.max_depth();
   header.max_feature = forest.max_feature();
@@ -170,15 +173,13 @@ void save_artifact(const std::string& path, const CompiledForest& forest) {
   // What save writes must be exactly what load accepts.
   validate(header);
 
-  // The interleaved child pairs are part of the format so the SIMD
-  // traversal is zero-copy from the mapping too (SimdForest builds this
-  // array in memory; the artifact bakes it once at save time).
-  const auto left = forest.left_children();
-  const auto right = forest.right_children();
-  std::vector<std::uint32_t> children(2 * left.size());
+  // Format version 1 stores the split left/right arrays beside the
+  // interleaved pairs; derive them from the pairs traversal uses.
+  std::vector<std::uint32_t> left(flat.node_count());
+  std::vector<std::uint32_t> right(flat.node_count());
   for (std::size_t n = 0; n < left.size(); ++n) {
-    children[2 * n] = left[n];
-    children[2 * n + 1] = right[n];
+    left[n] = flat.children[2 * n];
+    right[n] = flat.children[2 * n + 1];
   }
 
   const std::string tmp = path + ".tmp";
@@ -204,24 +205,18 @@ void save_artifact(const std::string& path, const CompiledForest& forest) {
   };
 
   emit(0, &header, sizeof(header));
-  emit(layout.feature, forest.features().data(),
-       forest.features().size_bytes());
-  emit(layout.threshold, forest.thresholds().data(),
-       forest.thresholds().size_bytes());
-  emit(layout.left, left.data(), left.size_bytes());
-  emit(layout.right, right.data(), right.size_bytes());
-  emit(layout.children, children.data(),
-       children.size() * sizeof(std::uint32_t));
-  emit(layout.leaf_value, forest.leaf_values().data(),
-       forest.leaf_values().size_bytes());
-  emit(layout.tree_root, forest.tree_roots().data(),
-       forest.tree_roots().size_bytes());
-  emit(layout.tree_depth, forest.tree_depths().data(),
-       forest.tree_depths().size_bytes());
-  emit(layout.scaler_mean, scaler.mean.data(),
-       scaler.mean.size() * sizeof(Real));
-  emit(layout.scaler_stddev, scaler.stddev.data(),
-       scaler.stddev.size() * sizeof(Real));
+  emit(layout.feature, flat.feature.data(), flat.feature.size_bytes());
+  emit(layout.threshold, flat.threshold.data(), flat.threshold.size_bytes());
+  emit(layout.left, left.data(), left.size() * sizeof(std::uint32_t));
+  emit(layout.right, right.data(), right.size() * sizeof(std::uint32_t));
+  emit(layout.children, flat.children.data(), flat.children.size_bytes());
+  emit(layout.leaf_value, flat.leaf_value.data(),
+       flat.leaf_value.size_bytes());
+  emit(layout.tree_root, flat.tree_root.data(), flat.tree_root.size_bytes());
+  emit(layout.tree_depth, flat.tree_depth.data(),
+       flat.tree_depth.size_bytes());
+  emit(layout.scaler_mean, mean.data(), mean.size_bytes());
+  emit(layout.scaler_stddev, stddev.data(), stddev.size_bytes());
   emit(layout.total_bytes, nullptr, 0);  // trailing alignment pad
 
   ok = std::fclose(f) == 0 && ok;
@@ -235,35 +230,8 @@ void save_artifact(const std::string& path, const CompiledForest& forest) {
   }
 }
 
-MappedModel::MappedModel(const std::string& path, InferenceBackend backend)
-    : path_(path), backend_(backend), file_(path) {
-  // One shared parsing seam with the fuzz harness: header validation,
-  // span binding, and the structural payload pass all live in
-  // bind_artifact (an mmap base is page-aligned, so the alignment
-  // precondition always holds here).
-  ArtifactView view = bind_artifact(file_.bytes());
-  header_ = view.header;
-  flat_ = view.forest;
-  mean_ = view.scaler_mean;
-  stddev_ = view.scaler_stddev;
-}
-
-void MappedModel::predict_into(Matrix& raw_rows, RealVector& proba,
-                               std::vector<int>& labels) const {
-  // Same scaling loop and traversal code paths as the in-memory
-  // artifacts, over spans into the mapping: bit-identical by
-  // construction.
-  scale_rows(mean_, stddev_, raw_rows);
-  if (backend_ == InferenceBackend::kSimd) {
-    predict_flat_simd(flat_, raw_rows, proba, labels);
-  } else {
-    predict_flat_compiled(flat_, raw_rows, proba, labels);
-  }
-}
-
-std::shared_ptr<const InferenceModel> load_artifact(const std::string& path,
-                                                    InferenceBackend backend) {
-  return std::make_shared<const MappedModel>(path, backend);
+std::shared_ptr<const CompiledForest> load_artifact(const std::string& path) {
+  return std::make_shared<const CompiledForest>(platform::MappedFile(path));
 }
 
 }  // namespace esl::ml

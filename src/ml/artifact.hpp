@@ -1,4 +1,4 @@
-// Versioned on-disk model artifacts: CompiledForest serialized as one
+// Versioned on-disk model artifacts: a CompiledForest serialized as one
 // flat binary that serving processes mmap and traverse with zero
 // deserialization.
 //
@@ -17,9 +17,9 @@
 //   threshold    Real[node_count]
 //   left         u32[node_count]
 //   right        u32[node_count]
-//   children     u32[2*node_count]   interleaved [left,right] pairs,
-//                                    pre-built so the SIMD traversal is
-//                                    also zero-copy from the mapping
+//   children     u32[2*node_count]   interleaved [left,right] pairs —
+//                                    what traversal reads, so serving
+//                                    is zero-copy from the mapping
 //   leaf_value   Real[node_count]
 //   tree_root    u32[tree_count]
 //   tree_depth   u32[tree_count]
@@ -27,11 +27,10 @@
 //   scaler_stddev Real[scaler_width]
 //
 // save_artifact writes the file (to a temp name, then rename, so a
-// registry replace is atomic); MappedModel mmaps it (platform/
-// mmap_file.hpp) and serves predict_into straight from the mapping —
-// bit-identical to the in-memory CompiledForest/SimdForest over the
-// same fitted forest, with zero steady-state allocations per call and
-// pages faulting in lazily on first traversal.
+// registry replace is atomic); load_artifact mmaps it (platform/
+// mmap_file.hpp) into a CompiledForest whose spans point straight into
+// the mapping — bit-identical to the flattened CompiledForest over the
+// same fitted forest, with zero steady-state allocations per call.
 //
 // Trust model: an artifact file is the boundary between training and
 // serving processes — replicated between hosts, it is partially-trusted
@@ -40,13 +39,13 @@
 // truncated, foreign, or version-skewed files from the fixed prologue
 // alone, and validate_payload() makes one O(node_count) structural pass
 // over the arrays — every child / root index in range, interleaved
-// children consistent, feature ids within the header's declared bound,
-// per-tree depths within the declared maximum — so a hostile payload
-// behind a well-formed header cannot steer predict_flat_compiled /
-// predict_flat_simd outside the mapping (traversal itself is
-// depth-bounded, so no payload can make it loop forever either). Both
-// passes run inside bind_artifact(), the single parsing seam MappedModel
-// and the fuzz harness (fuzz/fuzz_artifact.cpp) share.
+// children consistent with left/right, feature ids within the header's
+// declared bound, per-tree depths within the declared maximum — so a
+// hostile payload behind a well-formed header cannot steer predict_flat
+// outside the mapping (traversal itself is depth-bounded, so no payload
+// can make it loop forever either). Both passes run inside
+// bind_artifact(), the single parsing seam the mapped CompiledForest and
+// the fuzz harness (fuzz/fuzz_artifact.cpp) share.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +54,6 @@
 #include <string>
 
 #include "ml/compiled_forest.hpp"
-#include "ml/inference_model.hpp"
-#include "platform/mmap_file.hpp"
 
 namespace esl::ml {
 
@@ -123,30 +120,34 @@ void validate(const ArtifactHeader& header);
 /// header (truncated download, partial write, trailing garbage).
 void validate(const ArtifactHeader& header, std::size_t file_bytes);
 
-/// Structural validation of the payload arrays behind a valid header:
-/// every tree_root / left / right / children index addresses a real
-/// node, the interleaved children pairs agree with left/right, every
-/// feature id is <= header.max_feature (what the predict entry points
-/// bound row width against), and every tree_depth is <= header.max_depth.
-/// One O(node_count) pass, run once per open — traversal itself stays
-/// check-free. Throws InvalidArgument (literal messages) on violation.
-void validate_payload(const ArtifactHeader& header, const FlatForest& forest);
-
 /// A validated, borrowed view over one artifact's bytes: the header
 /// (copied out — never served from the mapping) plus spans aimed into
 /// the payload arrays. Valid only while the underlying bytes live.
 struct ArtifactView {
   ArtifactHeader header;
   FlatForest forest;
+  /// The split children as stored beside the interleaved pairs; only
+  /// validation reads them.
+  std::span<const std::uint32_t> left;
+  std::span<const std::uint32_t> right;
   std::span<const Real> scaler_mean;
   std::span<const Real> scaler_stddev;
 };
 
+/// Structural validation of the payload arrays behind a valid header:
+/// every tree_root / left / right / children index addresses a real
+/// node, the interleaved children pairs agree with left/right, every
+/// feature id is <= header.max_feature (what predict_flat bounds row
+/// width against), and every tree_depth is <= header.max_depth. One
+/// O(node_count) pass, run once per open — traversal itself stays
+/// check-free. Throws InvalidArgument (literal messages) on violation.
+void validate_payload(const ArtifactView& view);
+
 /// Parses `bytes` as a complete artifact: header validation (including
 /// the exact-length check), span binding, and the structural payload
-/// pass — the one place artifact bytes become typed spans. MappedModel
-/// binds its mapping through this, and the fuzz harness drives it
-/// directly on arbitrary blobs with no file in between. `bytes.data()`
+/// pass — the one place artifact bytes become typed spans. The mapped
+/// CompiledForest binds its mapping through this, and the fuzz harness
+/// drives it directly on arbitrary blobs with no file in between. `bytes.data()`
 /// must be at least alignof(Real)-aligned (an mmap base always is).
 /// Throws InvalidArgument on any malformed input.
 ArtifactView bind_artifact(std::span<const std::byte> bytes);
@@ -158,58 +159,15 @@ ArtifactView bind_artifact(std::span<const std::byte> bytes);
 /// on I/O failure.
 void save_artifact(const std::string& path, const CompiledForest& forest);
 
-/// Zero-copy deployable model over an mmap'd artifact file.
+/// Maps `path` read-only into a CompiledForest serving straight from the
+/// mapping (what ModelRegistry::open returns). Construction validates
+/// the header and payload (one O(node_count) pass); no array is copied
+/// or deserialized.
 ///
-/// Construction maps the file, validates the header, and aims the
-/// FlatForest spans into the mapping; no array is copied or even
-/// touched, so "loading" a model is O(header) and pages fault in lazily
-/// as traversal first needs them. predict_into is bit-identical to the
-/// in-memory CompiledForest (kCompiled) or SimdForest (kSimd) built
-/// from the same fitted forest, and allocates nothing once the caller's
-/// scratch is warm.
-///
-/// Lifetime: the mapping lives inside this object. Sessions holding the
-/// model via shared_ptr (Engine slots, ModelRegistry cache) keep the
-/// mapping alive; the file on disk may be replaced (rename) or deleted
-/// while mapped — the old pages stay valid until the last holder drops.
-class MappedModel final : public InferenceModel {
- public:
-  /// Maps `path` read-only. `backend` picks the traversal flavor over
-  /// the mapped arrays — the same enum RealtimeDetector::compile /
-  /// ml::compile use, so callers choose flavor in exactly one place.
-  explicit MappedModel(const std::string& path,
-                       InferenceBackend backend = InferenceBackend::kCompiled);
-
-  const char* name() const override {
-    return backend_ == InferenceBackend::kSimd ? "mapped+simd" : "mapped";
-  }
-  std::size_t tree_count() const override { return header_.tree_count; }
-  void predict_into(Matrix& raw_rows, RealVector& proba,
-                    std::vector<int>& labels) const override;
-
-  const ArtifactHeader& header() const { return header_; }
-  const std::string& path() const { return path_; }
-  InferenceBackend backend() const { return backend_; }
-  std::size_t node_count() const { return header_.node_count; }
-  /// Borrowed views straight into the mapping (valid while *this lives).
-  const FlatForest& flat() const { return flat_; }
-  std::span<const Real> scaler_mean() const { return mean_; }
-  std::span<const Real> scaler_stddev() const { return stddev_; }
-
- private:
-  std::string path_;
-  InferenceBackend backend_;
-  platform::MappedFile file_;
-  ArtifactHeader header_;
-  FlatForest flat_;  // spans into file_.bytes()
-  std::span<const Real> mean_;
-  std::span<const Real> stddev_;
-};
-
-/// Convenience: map `path` behind the InferenceModel seam (what
-/// ModelRegistry::open returns).
-std::shared_ptr<const InferenceModel> load_artifact(
-    const std::string& path,
-    InferenceBackend backend = InferenceBackend::kCompiled);
+/// Lifetime: the mapping lives inside the model. Sessions holding it via
+/// shared_ptr (Engine slots, ModelRegistry cache) keep the mapping
+/// alive; the file on disk may be replaced (rename) or deleted while
+/// mapped — the old pages stay valid until the last holder drops.
+std::shared_ptr<const CompiledForest> load_artifact(const std::string& path);
 
 }  // namespace esl::ml

@@ -4,21 +4,21 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "ml/artifact.hpp"
 
 namespace esl::ml {
 
 namespace {
 
-/// Rows advanced together through one tree. Large enough for the select
-/// loop to vectorize, small enough that a block's node indices stay in
-/// registers/L1.
+/// Rows advanced together through one tree: enough independent node
+/// chains in flight to hide load latency, few enough that a block's
+/// node indices stay in registers/L1.
 constexpr std::size_t k_block = 16;
 
 }  // namespace
 
 CompiledForest::CompiledForest(const RandomForest& forest, RowScaler scaler)
-    : scaler_(std::move(scaler)),
-      decision_threshold_(forest.config().threshold) {
+    : scaler_(std::move(scaler)) {
   expects(forest.is_fitted(), "CompiledForest: forest not fitted");
 
   std::size_t total_nodes = 0;
@@ -30,12 +30,12 @@ CompiledForest::CompiledForest(const RandomForest& forest, RowScaler scaler)
 
   feature_.reserve(total_nodes);
   threshold_.reserve(total_nodes);
-  left_.reserve(total_nodes);
-  right_.reserve(total_nodes);
+  children_.reserve(2 * total_nodes);
   leaf_value_.reserve(total_nodes);
   tree_root_.reserve(forest.tree_count());
   tree_depth_.reserve(forest.tree_count());
 
+  std::uint32_t max_feature = 0;
   for (std::size_t t = 0; t < forest.tree_count(); ++t) {
     const DecisionTree& tree = forest.tree(t);
     const auto base = static_cast<std::uint32_t>(feature_.size());
@@ -50,46 +50,55 @@ CompiledForest::CompiledForest(const RandomForest& forest, RowScaler scaler)
         // false against everything) stays here via right.
         feature_.push_back(0);
         threshold_.push_back(std::numeric_limits<Real>::infinity());
-        left_.push_back(self);
-        right_.push_back(self);
+        children_.push_back(self);
+        children_.push_back(self);
       } else {
         feature_.push_back(static_cast<std::uint32_t>(node.feature));
-        max_feature_ =
-            std::max(max_feature_, static_cast<std::uint32_t>(node.feature));
+        max_feature =
+            std::max(max_feature, static_cast<std::uint32_t>(node.feature));
         threshold_.push_back(node.threshold);
-        left_.push_back(base + static_cast<std::uint32_t>(node.left));
-        right_.push_back(base + static_cast<std::uint32_t>(node.right));
+        children_.push_back(base + static_cast<std::uint32_t>(node.left));
+        children_.push_back(base + static_cast<std::uint32_t>(node.right));
       }
       leaf_value_.push_back(node.positive_fraction);
     }
   }
+
+  flat_.feature = feature_;
+  flat_.threshold = threshold_;
+  flat_.children = children_;
+  flat_.leaf_value = leaf_value_;
+  flat_.tree_root = tree_root_;
+  flat_.tree_depth = tree_depth_;
+  flat_.decision_threshold = forest.config().threshold;
+  flat_.max_feature = max_feature;
+  mean_ = scaler_.mean;
+  stddev_ = scaler_.stddev;
 }
 
-FlatForest CompiledForest::view() const {
-  FlatForest view;
-  view.feature = feature_;
-  view.threshold = threshold_;
-  view.left = left_;
-  view.right = right_;
-  view.leaf_value = leaf_value_;
-  view.tree_root = tree_root_;
-  view.tree_depth = tree_depth_;
-  view.decision_threshold = decision_threshold_;
-  view.max_feature = max_feature_;
-  return view;
+CompiledForest::CompiledForest(platform::MappedFile file)
+    : file_(std::move(file)) {
+  // The one parsing seam shared with the fuzz harness: header
+  // validation, span binding and the structural payload pass (an mmap
+  // base is page-aligned, so the alignment precondition always holds).
+  const ArtifactView view = bind_artifact(file_.bytes());
+  flat_ = view.forest;
+  mean_ = view.scaler_mean;
+  stddev_ = view.scaler_stddev;
+  max_depth_ = static_cast<std::size_t>(view.header.max_depth);
 }
 
 void CompiledForest::predict_into(Matrix& raw_rows, RealVector& proba,
                                   std::vector<int>& labels) const {
-  scaler_.apply(raw_rows);
-  predict_flat_compiled(view(), raw_rows, proba, labels);
+  scale_rows(mean_, stddev_, raw_rows);
+  predict_flat(flat_, raw_rows, proba, labels);
 }
 
-void predict_flat_compiled(const FlatForest& forest, const Matrix& rows_in,
-                           RealVector& proba, std::vector<int>& labels) {
+void predict_flat(const FlatForest& forest, const Matrix& rows_in,
+                  RealVector& proba, std::vector<int>& labels) {
   const std::size_t rows = rows_in.rows();
   expects(rows == 0 || forest.max_feature < rows_in.cols(),
-          "predict_flat_compiled: rows too narrow");
+          "predict_flat: rows too narrow");
   proba.assign(rows, 0.0);
   labels.resize(rows);
   if (rows == 0) {
@@ -100,28 +109,28 @@ void predict_flat_compiled(const FlatForest& forest, const Matrix& rows_in,
   const std::size_t stride = rows_in.cols();
   const std::uint32_t* feature = forest.feature.data();
   const Real* threshold = forest.threshold.data();
-  const std::uint32_t* left = forest.left.data();
-  const std::uint32_t* right = forest.right.data();
+  const std::uint32_t* children = forest.children.data();
   const Real* leaf_value = forest.leaf_value.data();
 
   std::uint32_t node[k_block];
-  for (std::size_t t = 0; t < forest.tree_root.size(); ++t) {
-    const std::uint32_t root = forest.tree_root[t];
-    const std::uint32_t depth = forest.tree_depth[t];
-    for (std::size_t r0 = 0; r0 < rows; r0 += k_block) {
-      const std::size_t block = std::min(k_block, rows - r0);
+  for (std::size_t r0 = 0; r0 < rows; r0 += k_block) {
+    const std::size_t block = std::min(k_block, rows - r0);
+    const Real* block_rows = data + r0 * stride;
+    for (std::size_t t = 0; t < forest.tree_count(); ++t) {
+      const std::uint32_t root = forest.tree_root[t];
+      const std::uint32_t depth = forest.tree_depth[t];
       for (std::size_t i = 0; i < block; ++i) {
         node[i] = root;
       }
-      const Real* block_rows = data + r0 * stride;
       for (std::uint32_t level = 0; level < depth; ++level) {
         for (std::size_t i = 0; i < block; ++i) {
-          // Branch-light select over flat arrays: rows already parked on
-          // a leaf self-loop, so the level loop never needs an exit test.
+          // The pair index is computed in size_t: 2 * node + 1 overflows
+          // uint32 once a forest passes 2^31 nodes. Rows parked on a leaf
+          // self-loop, so the level loop never needs an exit test.
           const std::uint32_t cur = node[i];
-          node[i] = block_rows[i * stride + feature[cur]] <= threshold[cur]
-                        ? left[cur]
-                        : right[cur];
+          const std::size_t go_right =
+              !(block_rows[i * stride + feature[cur]] <= threshold[cur]);
+          node[i] = children[2 * std::size_t{cur} + go_right];
         }
       }
       for (std::size_t i = 0; i < block; ++i) {
@@ -132,11 +141,17 @@ void predict_flat_compiled(const FlatForest& forest, const Matrix& rows_in,
 
   // Per row the trees accumulated in ensemble order; divide once, exactly
   // like RandomForest::predict_all_into, so labels stay bit-identical.
-  const auto tree_count_real = static_cast<Real>(forest.tree_root.size());
+  const auto tree_count_real = static_cast<Real>(forest.tree_count());
   for (std::size_t r = 0; r < rows; ++r) {
     proba[r] /= tree_count_real;
     labels[r] = proba[r] >= forest.decision_threshold ? 1 : 0;
   }
+}
+
+std::shared_ptr<const CompiledForest> compile(const RandomForest& forest,
+                                              RowScaler scaler,
+                                              InferenceBackend /*backend*/) {
+  return std::make_shared<const CompiledForest>(forest, std::move(scaler));
 }
 
 }  // namespace esl::ml

@@ -4,10 +4,10 @@
 // InferenceModel packages everything one batched prediction needs — the
 // per-feature z-score fitted alongside the classifier, and the classifier
 // itself — behind a single predict_into call over raw feature rows. That
-// makes fleet models, freshly retrained personal detectors, and compiled
-// artifacts (compiled_forest.hpp) interchangeable, shareable across
-// shards, and hot-swappable mid-stream (DetectionService::swap_model);
-// SIMD or GPU execution plugs in as just another implementation.
+// makes fleet models, freshly retrained personal detectors, and flat
+// forests (compiled_forest.hpp, flattened or mapped from an artifact)
+// interchangeable, shareable across shards, and hot-swappable
+// mid-stream (DetectionService::swap_model).
 #pragma once
 
 #include <memory>
@@ -37,20 +37,11 @@ struct RowScaler {
 
 /// z-scores raw feature rows in place from borrowed per-feature
 /// mean/stddev spans (no-op when `mean` is empty). This is the one
-/// row-major scaling loop: RowScaler::apply delegates here, and the
-/// mmap'd artifacts (ml/artifact.hpp) call it with spans pointing
-/// straight into the mapping — no RowScaler copy, no allocation.
+/// row-major scaling loop: RowScaler::apply delegates here, and
+/// CompiledForest calls it with spans into its baked scaler (straight
+/// into the mapping for a mapped artifact) — no copy, no allocation.
 void scale_rows(std::span<const Real> mean, std::span<const Real> stddev,
                 Matrix& raw_rows);
-
-/// Execution strategy for a deployable artifact built from a fitted
-/// forest (RealtimeDetector::compile picks the implementation):
-///  * kCompiled — CompiledForest's flat batch-major traversal, relying
-///    on the compiler's auto-vectorization (ESL_NATIVE=ON);
-///  * kSimd — SimdForest's explicit pack traversal through the runtime-
-///    dispatched kernels:: seam (AVX2 hardware gathers when available).
-/// Both are bit-identical to the node-hopping interpreter.
-enum class InferenceBackend { kCompiled, kSimd };
 
 /// Immutable deployable model — the only interface the engine calls for
 /// prediction. Implementations hold no mutable state, so a fitted model
@@ -71,20 +62,10 @@ class InferenceModel {
                             std::vector<int>& labels) const = 0;
 };
 
-/// The one factory seam for deployable artifacts built from a fitted
-/// forest: flattens `forest` once (scaler baked in) and wraps it in the
-/// chosen execution strategy — kCompiled returns the flat CompiledForest
-/// itself, kSimd wraps it in SimdForest's pack traversal. Every caller
-/// that picks a flavor (RealtimeDetector::compile, the on-disk
-/// ModelRegistry's mapped loads, benches) routes through this enum in
-/// exactly one place; all backends classify bit-identically.
-std::shared_ptr<const InferenceModel> compile(const RandomForest& forest,
-                                              RowScaler scaler,
-                                              InferenceBackend backend);
-
 /// Thin adapter: an InferenceModel over a fitted RandomForest (shared,
-/// immutable) plus the scaler it was trained with. This is the baseline
-/// node-hopping implementation; CompiledForest is the flat one.
+/// immutable) plus the scaler it was trained with. This is the
+/// node-hopping implementation — the parity oracle, and the model a
+/// session serves right after a retrain; CompiledForest is the flat one.
 class ForestModel final : public InferenceModel {
  public:
   ForestModel(std::shared_ptr<const RandomForest> forest, RowScaler scaler);

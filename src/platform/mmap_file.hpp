@@ -13,9 +13,9 @@
 //
 // Lifetime: the mapping lives exactly as long as the MappedFile (move-
 // only, unmapped in the destructor). Anything that borrows spans into
-// bytes() — a MappedModel, the sessions holding it — must keep the
-// owning object alive; the artifact layer does this by holding the
-// MappedFile inside the shared_ptr'd model.
+// bytes() — a mapped ml::CompiledForest, the sessions holding it — must
+// keep the owning object alive; the artifact layer does this by holding
+// the MappedFile inside the shared_ptr'd model.
 #pragma once
 
 #include <cstddef>

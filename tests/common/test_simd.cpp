@@ -2,10 +2,10 @@
 //
 // The kernel suites prove end-to-end parity; these pin the individual
 // pack operations — load/store/broadcast, arithmetic, the unfused fma,
-// compare/select masks (including NaN semantics), gather-lite and the
-// interleaved-pair shuffles — at every width the abstraction ships
-// (1, 2, 4), so a miscompiled shuffle or mask can't hide behind a
-// coincidentally-correct kernel.
+// compare/select masks (including NaN semantics) and the interleaved-
+// pair shuffles — at every width the abstraction ships (1, 2, 4), so a
+// miscompiled shuffle or mask can't hide behind a coincidentally-correct
+// kernel.
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -65,14 +65,6 @@ void expect_pack_ops() {
   const P picked = select(mask, a, c);
   for (int i = 0; i < W; ++i) {
     EXPECT_EQ(picked.lane(i), mask.lane(i) ? input_a[i] : 7.0);
-  }
-
-  // gather-lite.
-  const Real table[] = {10.0, 11.0, 12.0, 13.0, 14.0, 15.0};
-  const std::uint32_t idx[] = {5, 0, 3, 1};
-  const P gathered = P::gather(table, idx);
-  for (int i = 0; i < W; ++i) {
-    EXPECT_EQ(gathered.lane(i), table[idx[i]]);
   }
 }
 

@@ -120,18 +120,10 @@ TEST_F(RealtimeDetectorTest, DeployableModelsMatchOfflinePredictionsBitForBit) {
   const std::shared_ptr<const ml::CompiledForest> compiled =
       detector.compile();
   EXPECT_EQ(compiled->tree_count(), detector.forest().tree_count());
-  // Backend-selecting overload: both execution strategies come off the
-  // same fit and must agree with the offline path bit for bit.
-  const std::shared_ptr<const ml::InferenceModel> compiled_backend =
-      detector.compile(ml::InferenceBackend::kCompiled);
-  const std::shared_ptr<const ml::InferenceModel> simd_backend =
-      detector.compile(ml::InferenceBackend::kSimd);
-  EXPECT_STREQ(compiled_backend->name(), "compiled");
-  EXPECT_STREQ(simd_backend->name(), "simd");
+  EXPECT_STREQ(compiled->name(), "compiled");
   for (const ml::InferenceModel* model :
        {static_cast<const ml::InferenceModel*>(detector.model().get()),
-        static_cast<const ml::InferenceModel*>(compiled.get()),
-        compiled_backend.get(), simd_backend.get()}) {
+        static_cast<const ml::InferenceModel*>(compiled.get())}) {
     SCOPED_TRACE(model->name());
     Matrix raw = windowed.features;
     RealVector proba;

@@ -592,13 +592,12 @@ TEST_F(ServiceTest, HotSwapUnderContinuousIngestPreservesParity) {
     handles.push_back(service.create_session(s, SessionConfig{}));
   }
 
-  // Rotate through every execution strategy: the flat compiled artifact,
-  // its explicit-SIMD pack traversal, and nullptr (back to the fleet
-  // ForestModel). All three classify bit-identically, so parity must
-  // survive any interleaving of deploys.
+  // Rotate through two independently compiled flat artifacts and
+  // nullptr (back to the fleet ForestModel). All three classify
+  // bit-identically, so parity must survive any interleaving of deploys.
   const std::vector<std::shared_ptr<const ml::InferenceModel>> deploys = {
       (*fleet_)->compile(),
-      (*fleet_)->compile(ml::InferenceBackend::kSimd),
+      (*fleet_)->compile(),
       nullptr,
   };
   std::atomic<bool> stop_swapping{false};

@@ -1,14 +1,12 @@
 // Artifact round-trip, rejection, and zero-copy serving suites.
 //
-// The on-disk artifact (ml/artifact.hpp) must reproduce the in-memory
-// CompiledForest/SimdForest bit for bit after a save -> mmap round trip
-// — across depths, degenerate ensembles, a baked scaler, and batch
-// sizes straddling both traversal blocks — and reject truncated,
-// tampered, version-skewed, or foreign-endian files with
-// InvalidArgument before touching any array. The warm mapped
-// predict_into path must also allocate nothing, since the engine drives
-// it per polled batch. (The counting allocator for this binary is
-// defined in test_simd_forest.cpp.)
+// The on-disk artifact (ml/artifact.hpp) must reproduce the flattened
+// CompiledForest bit for bit after a save -> mmap round trip — across
+// depths, degenerate ensembles, a baked scaler, and batch sizes
+// straddling the traversal block — and reject truncated, tampered,
+// version-skewed, or foreign-endian files with InvalidArgument before
+// touching any array. (The mapped model's warm zero-allocation check
+// lives with the other CompiledForest suites.)
 //
 // Cross-process reuse: the CrossProcessSave / CrossProcessLoad pair is
 // gated on ESL_ARTIFACT_CROSS_DIR — CI runs Save and Load in separate
@@ -28,19 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "../support/alloc_counter.hpp"
-#include "../support/simd_level.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "ml/dataset.hpp"
-#include "ml/simd_forest.hpp"
 
 namespace esl::ml {
 namespace {
-
-using kernels::SimdLevel;
-using LevelGuard = esl::testing::SimdLevelGuard;
-using esl::testing::supported_simd_levels;
 
 /// Noisy labels and tied feature values grow bushy trees with duplicate
 /// thresholds and no-split leaves at many depths.
@@ -61,9 +51,8 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-/// Saves `compiled` and asserts both mapped backends reproduce the
-/// in-memory CompiledForest and SimdForest bit for bit on `raw` (at
-/// every SIMD dispatch level the host supports).
+/// Saves `compiled` and asserts the mapped model reproduces the
+/// flattened one bit for bit on `raw`.
 void expect_round_trip_parity(const CompiledForest& compiled,
                               const Matrix& raw, const std::string& path) {
   save_artifact(path, compiled);
@@ -73,27 +62,15 @@ void expect_round_trip_parity(const CompiledForest& compiled,
   std::vector<int> labels_reference;
   compiled.predict_into(reference_scratch, proba_reference, labels_reference);
 
-  const MappedModel mapped(path);
-  EXPECT_EQ(mapped.node_count(), compiled.node_count());
+  const auto mapped = load_artifact(path);
+  EXPECT_EQ(mapped->node_count(), compiled.node_count());
   Matrix scratch = raw;
   RealVector proba;
   std::vector<int> labels;
-  mapped.predict_into(scratch, proba, labels);
+  mapped->predict_into(scratch, proba, labels);
   EXPECT_EQ(proba, proba_reference);  // bit-identical, no tolerance
   EXPECT_EQ(labels, labels_reference);
   EXPECT_EQ(scratch, reference_scratch);  // same in-place scaling
-
-  LevelGuard guard;
-  const MappedModel mapped_simd(path, InferenceBackend::kSimd);
-  for (const SimdLevel level : supported_simd_levels()) {
-    SCOPED_TRACE(kernels::level_name(level));
-    kernels::set_active_level(level);
-    Matrix simd_scratch = raw;
-    mapped_simd.predict_into(simd_scratch, proba, labels);
-    EXPECT_EQ(proba, proba_reference);
-    EXPECT_EQ(labels, labels_reference);
-    EXPECT_EQ(simd_scratch, reference_scratch);
-  }
 }
 
 TEST(Artifact, LayoutIsCacheAlignedAndSized) {
@@ -123,8 +100,8 @@ TEST(Artifact, RoundTripParityAcrossDepthsAndBlockBoundaryBatches) {
     const CompiledForest compiled(forest);
     const std::string path =
         temp_path("round_trip_" + std::to_string(depth) + ".eslm");
-    // Batch sizes straddling the 16-row compiled block and the 32-row
-    // AVX2 gather block: partial packs, exact blocks, multi-block.
+    // Batch sizes straddling the 16-row traversal block: partial
+    // blocks, exact blocks, multi-block.
     for (const std::size_t rows : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 257u}) {
       SCOPED_TRACE("rows " + std::to_string(rows));
       expect_round_trip_parity(compiled, noisy(rows, depth + 50).x, path);
@@ -184,8 +161,10 @@ TEST(Artifact, HeaderIntrospectionMatchesSourceForest) {
   const std::string path = temp_path("introspection.eslm");
   save_artifact(path, compiled);
 
-  const MappedModel mapped(path);
-  const ArtifactHeader& header = mapped.header();
+  std::ifstream in(path, std::ios::binary);
+  ArtifactHeader header;
+  in.read(reinterpret_cast<char*>(&header), sizeof(header));
+  ASSERT_TRUE(in);
   EXPECT_EQ(header.magic, k_artifact_magic);
   EXPECT_EQ(header.version, k_artifact_version);
   EXPECT_EQ(header.node_count, compiled.node_count());
@@ -194,19 +173,20 @@ TEST(Artifact, HeaderIntrospectionMatchesSourceForest) {
   EXPECT_EQ(header.max_depth, compiled.max_depth());
   EXPECT_EQ(header.max_feature, compiled.max_feature());
   EXPECT_EQ(header.decision_threshold, compiled.decision_threshold());
-  EXPECT_EQ(mapped.tree_count(), compiled.tree_count());
-  EXPECT_STREQ(mapped.name(), "mapped");
-  EXPECT_STREQ(MappedModel(path, InferenceBackend::kSimd).name(),
-               "mapped+simd");
-  EXPECT_EQ(mapped.path(), path);
+
+  const auto mapped = load_artifact(path);
+  EXPECT_EQ(mapped->tree_count(), compiled.tree_count());
+  EXPECT_STREQ(mapped->name(), "mapped");
 
   // The flat views point into the mapping and mirror the source arrays.
-  EXPECT_TRUE(std::equal(compiled.features().begin(),
-                         compiled.features().end(),
-                         mapped.flat().feature.begin()));
-  EXPECT_TRUE(std::equal(compiled.tree_roots().begin(),
-                         compiled.tree_roots().end(),
-                         mapped.flat().tree_root.begin()));
+  const FlatForest& source = compiled.view();
+  const FlatForest& view = mapped->view();
+  EXPECT_TRUE(std::equal(source.feature.begin(), source.feature.end(),
+                         view.feature.begin()));
+  EXPECT_TRUE(std::equal(source.children.begin(), source.children.end(),
+                         view.children.begin()));
+  EXPECT_TRUE(std::equal(source.tree_root.begin(), source.tree_root.end(),
+                         view.tree_root.begin()));
 }
 
 TEST(Artifact, SaveReplacesExistingFileAtomically) {
@@ -218,8 +198,8 @@ TEST(Artifact, SaveReplacesExistingFileAtomically) {
   save_artifact(path, CompiledForest(first));
   save_artifact(path, CompiledForest(second));  // rename over the old file
 
-  const MappedModel mapped(path);
-  EXPECT_EQ(mapped.node_count(), CompiledForest(second).node_count());
+  EXPECT_EQ(load_artifact(path)->node_count(),
+            CompiledForest(second).node_count());
   expect_round_trip_parity(CompiledForest(second), noisy(32, 43, 6).x, path);
 }
 
@@ -308,14 +288,14 @@ TEST_F(ArtifactCorruption, RejectsFlippedMagic) {
   std::vector<char> bytes = read_file();
   bytes[0] ^= 0x01;
   write_file(bytes);
-  EXPECT_THROW(MappedModel{path_}, InvalidArgument);
+  EXPECT_THROW(load_artifact(path_), InvalidArgument);
 }
 
 TEST_F(ArtifactCorruption, RejectsWrongVersion) {
   std::vector<char> bytes = read_file();
   bytes[8] += 1;  // version is the u32 right after the magic
   write_file(bytes);
-  EXPECT_THROW(MappedModel{path_}, InvalidArgument);
+  EXPECT_THROW(load_artifact(path_), InvalidArgument);
 }
 
 TEST_F(ArtifactCorruption, RejectsForeignEndianness) {
@@ -323,7 +303,7 @@ TEST_F(ArtifactCorruption, RejectsForeignEndianness) {
   std::swap(bytes[12], bytes[15]);  // byte-swap the endianness tag
   std::swap(bytes[13], bytes[14]);
   write_file(bytes);
-  EXPECT_THROW(MappedModel{path_}, InvalidArgument);
+  EXPECT_THROW(load_artifact(path_), InvalidArgument);
 }
 
 TEST_F(ArtifactCorruption, RejectsTruncationAnywhere) {
@@ -333,7 +313,7 @@ TEST_F(ArtifactCorruption, RejectsTruncationAnywhere) {
                                  sizeof(ArtifactHeader) - 8, std::size_t{0}}) {
     SCOPED_TRACE("keep " + std::to_string(keep));
     write_file({bytes.begin(), bytes.begin() + static_cast<long>(keep)});
-    EXPECT_THROW(MappedModel{path_}, InvalidArgument);
+    EXPECT_THROW(load_artifact(path_), InvalidArgument);
   }
 }
 
@@ -341,11 +321,10 @@ TEST_F(ArtifactCorruption, RejectsTrailingGarbage) {
   std::vector<char> bytes = read_file();
   bytes.insert(bytes.end(), 128, '\0');
   write_file(bytes);
-  EXPECT_THROW(MappedModel{path_}, InvalidArgument);
+  EXPECT_THROW(load_artifact(path_), InvalidArgument);
 }
 
 TEST_F(ArtifactCorruption, MissingFileThrowsDataError) {
-  EXPECT_THROW(MappedModel{path_ + ".does-not-exist"}, DataError);
   EXPECT_THROW(load_artifact(path_ + ".does-not-exist"), DataError);
 }
 
@@ -376,9 +355,7 @@ class ArtifactPayloadTamper : public ArtifactCorruption {
     ASSERT_LE(byte_offset + sizeof(value), bytes.size());
     std::memcpy(bytes.data() + byte_offset, &value, sizeof(value));
     write_file(bytes);
-    EXPECT_THROW(MappedModel{path_}, InvalidArgument);
-    EXPECT_THROW((MappedModel{path_, InferenceBackend::kSimd}),
-                 InvalidArgument);
+    EXPECT_THROW(load_artifact(path_), InvalidArgument);
     write_file(original);  // restore for the next tamper
   }
 
@@ -402,8 +379,8 @@ TEST_F(ArtifactPayloadTamper, RejectsChildIndicesPastTheNodeArrays) {
 }
 
 TEST_F(ArtifactPayloadTamper, RejectsInterleavedChildrenMismatch) {
-  // Valid index, but children[0] no longer mirrors left[0]: the scalar
-  // and SIMD traversals would silently diverge on the same bytes.
+  // Valid index, but children[0] no longer mirrors left[0]: the file
+  // disagrees with itself about the tree it holds.
   const std::vector<char> bytes = read_file();
   std::uint32_t left0 = 0;
   std::memcpy(&left0, bytes.data() + layout().left, sizeof(left0));
@@ -455,7 +432,7 @@ TEST(BindArtifact, BindsAValidBufferWithoutAFile) {
   EXPECT_EQ(view.forest.tree_count(), compiled.tree_count());
   EXPECT_TRUE(std::equal(view.forest.feature.begin(),
                          view.forest.feature.end(),
-                         compiled.features().begin()));
+                         compiled.view().feature.begin()));
 
   // The bound view serves the same predictions as the source artifact.
   Matrix rows;
@@ -476,7 +453,7 @@ TEST(BindArtifact, BindsAValidBufferWithoutAFile) {
   scale_rows(view.scaler_mean, view.scaler_stddev, bound_rows);
   RealVector proba;
   std::vector<int> labels;
-  predict_flat_compiled(view.forest, bound_rows, proba, labels);
+  predict_flat(view.forest, bound_rows, proba, labels);
   EXPECT_EQ(proba, proba_reference);
   EXPECT_EQ(labels, labels_reference);
 }
@@ -490,42 +467,6 @@ TEST(BindArtifact, RejectsShortAndEmptyBuffers) {
       bind_artifact({static_cast<const std::byte*>(half_header),
                      sizeof(half_header)}),
       InvalidArgument);
-}
-
-// ------------------------------------------------------- serving profile
-
-TEST(MappedModel, WarmPredictIntoIsAllocationFree) {
-  // The engine polls predict_into once per batch on the streaming hot
-  // path: after the first (sizing) call, repeated mapped predictions on
-  // reused scratch must not touch the heap — for either traversal
-  // flavor, at any dispatch level.
-  RandomForest forest;
-  forest.fit(noisy(200, 71), 3);
-  const std::string path = temp_path("zero_alloc.eslm");
-  save_artifact(path, CompiledForest(forest));
-  const Matrix rows = noisy(64, 72).x;
-
-  LevelGuard guard;
-  for (const InferenceBackend backend :
-       {InferenceBackend::kCompiled, InferenceBackend::kSimd}) {
-    const MappedModel mapped(path, backend);
-    SCOPED_TRACE(mapped.name());
-    Matrix scratch = rows;
-    RealVector proba;
-    std::vector<int> labels;
-    for (const SimdLevel level : supported_simd_levels()) {
-      SCOPED_TRACE(kernels::level_name(level));
-      kernels::set_active_level(level);
-      for (int warm = 0; warm < 3; ++warm) {
-        mapped.predict_into(scratch, proba, labels);
-      }
-      const std::size_t before = esl::testing::allocation_count();
-      for (int i = 0; i < 10; ++i) {
-        mapped.predict_into(scratch, proba, labels);
-      }
-      EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
-    }
-  }
 }
 
 // ----------------------------------------------------- cross-process CI
@@ -572,11 +513,11 @@ TEST(Artifact, CrossProcessLoad) {
   // The file was written by a different process (CrossProcessSave in a
   // prior ctest invocation); mapping it here must still be bit-identical
   // to the in-memory artifact.
-  const MappedModel mapped(std::string(dir) + "/cross.eslm");
+  const auto mapped = load_artifact(std::string(dir) + "/cross.eslm");
   Matrix scratch = raw;
   RealVector proba;
   std::vector<int> labels;
-  mapped.predict_into(scratch, proba, labels);
+  mapped->predict_into(scratch, proba, labels);
   EXPECT_EQ(proba, proba_reference);
   EXPECT_EQ(labels, labels_reference);
 }

@@ -1,14 +1,37 @@
+// CompiledForest parity, degenerate-ensemble and steady-state
+// allocation suites.
+//
+// CompiledForest is the one flat model, over two storage sources: arrays
+// flattened from a fitted RandomForest, and an artifact file mapped by
+// load_artifact. Its contract is bit-identical probabilities and labels
+// to the node-hopping interpreter from either source — for bushy
+// forests across the depth sweep, degenerate single-leaf and
+// constant-feature ensembles, NaN feature values, and batch sizes
+// straddling the traversal block. The warm predict_into path must also
+// allocate nothing, since the engine drives it per polled batch on
+// battery-bound deployments. (The counting allocator for the ml test
+// binary is defined here.)
 #include "ml/compiled_forest.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "../support/alloc_counter.hpp"
 #include "common/error.hpp"
+#include "ml/artifact.hpp"
 #include "ml/dataset.hpp"
+
+ESL_DEFINE_COUNTING_ALLOCATOR();
 
 namespace esl::ml {
 namespace {
+
+/// Batch sizes around the 16-row traversal block: a single row, partial
+/// blocks, exact blocks, and multi-block batches.
+constexpr std::size_t k_batches[] = {1, 7, 15, 16, 17, 31, 32, 33, 256, 257};
 
 Dataset blobs(std::size_t per_class, std::uint64_t seed, Real separation = 3.0,
               std::size_t extra_noise_features = 6) {
@@ -46,22 +69,43 @@ Dataset noisy(std::size_t size, std::uint64_t seed,
   return data;
 }
 
-/// Asserts CompiledForest(forest) reproduces predict_all_into bit for
-/// bit on `rows` (pre-scaled / scaler-free path).
+/// A temp artifact path unique to the running test (ctest runs tests
+/// as parallel processes, so files must not be shared between them).
+std::string artifact_path() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "compiled_" + info->name() + ".eslm";
+}
+
+/// The same model served from the other storage source: saved, then
+/// mapped back.
+std::shared_ptr<const CompiledForest> mapped_copy(
+    const CompiledForest& compiled) {
+  const std::string path = artifact_path();
+  save_artifact(path, compiled);
+  return load_artifact(path);
+}
+
+/// Asserts CompiledForest(forest), flattened and mapped, reproduces
+/// predict_all_into bit for bit on `rows` (pre-scaled / scaler-free
+/// path).
 void expect_parity(const RandomForest& forest, const Matrix& rows) {
   RealVector proba_reference;
   std::vector<int> labels_reference;
   forest.predict_all_into(rows, proba_reference, labels_reference);
 
   const CompiledForest compiled(forest);
-  Matrix scratch = rows;  // empty scaler: left untouched
-  RealVector proba_compiled;
-  std::vector<int> labels_compiled;
-  compiled.predict_into(scratch, proba_compiled, labels_compiled);
-
-  EXPECT_EQ(proba_compiled, proba_reference);  // bit-identical, no tolerance
-  EXPECT_EQ(labels_compiled, labels_reference);
-  EXPECT_EQ(scratch, rows);
+  const auto mapped = mapped_copy(compiled);
+  for (const CompiledForest* model : {&compiled, mapped.get()}) {
+    SCOPED_TRACE(model->name());
+    Matrix scratch = rows;  // empty scaler: left untouched
+    RealVector proba;
+    std::vector<int> labels;
+    model->predict_into(scratch, proba, labels);
+    EXPECT_EQ(proba, proba_reference);  // bit-identical, no tolerance
+    EXPECT_EQ(labels, labels_reference);
+    EXPECT_EQ(scratch, rows);
+  }
 }
 
 TEST(CompiledForest, RandomizedParityWithInterpreterIsBitIdentical) {
@@ -77,14 +121,84 @@ TEST(CompiledForest, RandomizedParityWithInterpreterIsBitIdentical) {
   }
 }
 
+TEST(CompiledForest, RandomizedParityAcrossBlockBoundaryBatches) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomForest forest;  // default config: 32 trees, depth 16
+    forest.fit(noisy(300, seed), seed);
+    // Every batch size straddling the 16-row block, plus a large
+    // multi-block batch.
+    for (const std::size_t rows : k_batches) {
+      SCOPED_TRACE("rows " + std::to_string(rows));
+      expect_parity(forest, noisy(rows, seed + 100).x);
+    }
+    expect_parity(forest, noisy(1024, seed + 200).x);
+  }
+}
+
 TEST(CompiledForest, Depth16ForestsAndStumpsStayBitIdentical) {
-  for (const std::size_t depth : {1u, 2u, 4u, 16u}) {
+  for (const std::size_t depth : {1u, 2u, 4u, 8u, 16u}) {
     SCOPED_TRACE("max_depth " + std::to_string(depth));
     ForestConfig config;
     config.tree.max_depth = depth;
     RandomForest forest(config);
     forest.fit(blobs(200, depth, 1.0), 9);
     expect_parity(forest, blobs(100, depth + 50, 1.0).x);
+  }
+}
+
+TEST(CompiledForest, NoisyDepthSweepStaysBitIdentical) {
+  // Bushy noisy-label forests at every depth, across the batch sizes
+  // straddling the traversal block.
+  for (const std::size_t depth : {1u, 2u, 4u, 8u, 16u}) {
+    SCOPED_TRACE("max_depth " + std::to_string(depth));
+    ForestConfig config;
+    config.tree.max_depth = depth;
+    RandomForest forest(config);
+    forest.fit(noisy(250, depth + 7), 9);
+    for (const std::size_t rows : k_batches) {
+      SCOPED_TRACE("rows " + std::to_string(rows));
+      expect_parity(forest, noisy(rows, depth + 50).x);
+    }
+  }
+}
+
+TEST(CompiledForest, NanFeaturesGoRightBitIdentically) {
+  // No training row is NaN, but a serving row can be (a dropped-out
+  // channel): `NaN <= threshold` is false, so every split sends it
+  // right. ForestModel, the flattened and the mapped model must agree.
+  RandomForest forest;
+  forest.fit(noisy(300, 81), 5);
+  const RowScaler scaler = {RealVector(10, 0.25), RealVector(10, 1.5)};
+  Matrix raw = noisy(64, 82).x;
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  for (std::size_t r = 0; r < raw.rows(); ++r) {
+    // Every row gets NaN in a rotating feature; some rows in all of them.
+    raw(r, r % raw.cols()) = nan;
+    if (r % 9 == 0) {
+      for (std::size_t f = 0; f < raw.cols(); ++f) {
+        raw(r, f) = nan;
+      }
+    }
+  }
+
+  const ForestModel oracle(std::make_shared<const RandomForest>(forest),
+                           scaler);
+  Matrix oracle_scratch = raw;
+  RealVector proba_reference;
+  std::vector<int> labels_reference;
+  oracle.predict_into(oracle_scratch, proba_reference, labels_reference);
+
+  const CompiledForest compiled(forest, scaler);
+  const auto mapped = mapped_copy(compiled);
+  for (const CompiledForest* model : {&compiled, mapped.get()}) {
+    SCOPED_TRACE(model->name());
+    Matrix scratch = raw;
+    RealVector proba;
+    std::vector<int> labels;
+    model->predict_into(scratch, proba, labels);
+    EXPECT_EQ(proba, proba_reference);  // bit-identical, no tolerance
+    EXPECT_EQ(labels, labels_reference);
   }
 }
 
@@ -116,6 +230,36 @@ TEST(CompiledForest, SingleLeafDegenerateTreesSelfLoop) {
   expect_parity(forest, rows);
 }
 
+TEST(CompiledForest, SingleLeafDegenerateForestParksOnRoot) {
+  // The same all-leaf ensemble served from a mapping, on bushy-forest
+  // rows: every tree reports depth 0 and every row scores 1.
+  Dataset pure;
+  Rng rng(3);
+  for (std::size_t i = 0; i < 32; ++i) {
+    const RealVector row = {rng.normal(), rng.normal()};
+    pure.push_back(row, 1);
+  }
+  ForestConfig config;
+  config.tree_count = 4;
+  RandomForest forest(config);
+  forest.fit(pure, 5);
+  const CompiledForest compiled(forest);
+  const auto mapped = mapped_copy(compiled);
+  EXPECT_EQ(mapped->max_depth(), 0u);
+
+  const Matrix rows = noisy(40, 11, 2).x;
+  Matrix scratch = rows;
+  RealVector proba;
+  std::vector<int> labels;
+  mapped->predict_into(scratch, proba, labels);
+  ASSERT_EQ(proba.size(), rows.rows());
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    EXPECT_EQ(proba[r], 1.0);
+    EXPECT_EQ(labels[r], 1);
+  }
+  expect_parity(forest, rows);
+}
+
 TEST(CompiledForest, ConstantFeaturesYieldLeafOnlyForest) {
   // No informative split anywhere: build() keeps every root a leaf even
   // though labels are mixed.
@@ -127,6 +271,30 @@ TEST(CompiledForest, ConstantFeaturesYieldLeafOnlyForest) {
   RandomForest forest;
   forest.fit(flat, 11);
   expect_parity(forest, flat.x);
+}
+
+TEST(CompiledForest, ConstantFeatureForestIsAllRootLeaves) {
+  // Mixed labels on one constant row: every tree is a single root leaf,
+  // so every node self-loops and any row lands on the roots.
+  Dataset flat;
+  const RealVector constant_row = {1.0, 2.0, 3.0};
+  for (std::size_t i = 0; i < 40; ++i) {
+    flat.push_back(constant_row, i % 2 == 0 ? 1 : 0);
+  }
+  RandomForest forest;
+  forest.fit(flat, 11);
+  const CompiledForest compiled(forest);
+  EXPECT_EQ(compiled.node_count(), compiled.tree_count());
+  EXPECT_EQ(compiled.max_depth(), 0u);
+  const FlatForest& view = compiled.view();
+  for (std::size_t n = 0; n < view.node_count(); ++n) {
+    EXPECT_EQ(view.children[2 * n], n);
+    EXPECT_EQ(view.children[2 * n + 1], n);
+  }
+  for (const std::size_t rows : k_batches) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    expect_parity(forest, noisy(rows, 12, 3).x);
+  }
 }
 
 TEST(CompiledForest, BakedScalerMatchesScaleThenPredict) {
@@ -183,6 +351,37 @@ TEST(CompiledForest, BakedScalerMatchesScaleThenPredict) {
   EXPECT_EQ(labels_adapter, labels_reference);
 }
 
+TEST(CompiledForest, BakedScalerSurvivesTheArtifactRoundTrip) {
+  // Mapped from a saved artifact, the baked scaler rides along: raw rows
+  // z-score in place and classify exactly as the flattened model does.
+  const Dataset train = noisy(300, 21);
+  RandomForest forest;
+  forest.fit(train, 13);
+
+  RowScaler scaler;
+  for (std::size_t f = 0; f < train.feature_count(); ++f) {
+    scaler.mean.push_back(0.25 * static_cast<Real>(f));
+    scaler.stddev.push_back(1.0 + 0.1 * static_cast<Real>(f));
+  }
+  scaler.stddev.back() = 0.0;  // degenerate column: centered-to-zero path
+
+  const Matrix raw = noisy(64, 22).x;
+  const CompiledForest compiled(forest, scaler);
+  Matrix compiled_scratch = raw;
+  RealVector proba_compiled;
+  std::vector<int> labels_compiled;
+  compiled.predict_into(compiled_scratch, proba_compiled, labels_compiled);
+
+  const auto mapped = mapped_copy(compiled);
+  Matrix scratch = raw;
+  RealVector proba;
+  std::vector<int> labels;
+  mapped->predict_into(scratch, proba, labels);
+  EXPECT_EQ(proba, proba_compiled);
+  EXPECT_EQ(labels, labels_compiled);
+  EXPECT_EQ(scratch, compiled_scratch);  // rows were z-scored in place
+}
+
 TEST(CompiledForest, HonorsDecisionThreshold) {
   ForestConfig config;
   config.threshold = 0.8;
@@ -207,6 +406,30 @@ TEST(CompiledForest, IntrospectionMatchesSourceForest) {
   EXPECT_EQ(compiled.node_count(), nodes);
   EXPECT_EQ(compiled.max_depth(), depth);
   EXPECT_STREQ(compiled.name(), "compiled");
+
+  // Leaves self-loop through both slots of their child pair.
+  const FlatForest& flat = compiled.view();
+  ASSERT_EQ(flat.children.size(), 2 * flat.node_count());
+  for (std::size_t n = 0; n < flat.node_count(); ++n) {
+    if (flat.threshold[n] == std::numeric_limits<Real>::infinity()) {
+      EXPECT_EQ(flat.children[2 * n], n);
+      EXPECT_EQ(flat.children[2 * n + 1], n);
+    }
+  }
+}
+
+TEST(CompiledForest, MappedIntrospectionMatchesFlattened) {
+  RandomForest forest;
+  forest.fit(noisy(120, 31), 17);
+  const CompiledForest compiled(forest);
+  const auto mapped = mapped_copy(compiled);
+  EXPECT_STREQ(mapped->name(), "mapped");
+  EXPECT_EQ(mapped->tree_count(), compiled.tree_count());
+  EXPECT_EQ(mapped->node_count(), compiled.node_count());
+  EXPECT_EQ(mapped->max_depth(), compiled.max_depth());
+  EXPECT_EQ(mapped->max_feature(), compiled.max_feature());
+  EXPECT_EQ(mapped->decision_threshold(), compiled.decision_threshold());
+  EXPECT_EQ(mapped->view().children.size(), 2 * mapped->node_count());
 }
 
 TEST(CompiledForest, EmptyBatchProducesEmptyOutputs) {
@@ -232,6 +455,55 @@ TEST(CompiledForest, RejectsUnfittedForestAndNarrowRows) {
   RealVector proba;
   std::vector<int> labels;
   EXPECT_THROW(compiled.predict_into(narrow, proba, labels), InvalidArgument);
+}
+
+TEST(CompiledForest, MappedEmptyBatchAndErrorPaths) {
+  RandomForest forest;
+  forest.fit(noisy(60, 41), 1);  // 10 features
+  const auto mapped = mapped_copy(CompiledForest(forest));
+
+  Matrix empty;
+  RealVector proba = {1.0, 2.0};  // stale scratch must be overwritten
+  std::vector<int> labels = {1, 0, 1};
+  mapped->predict_into(empty, proba, labels);
+  EXPECT_TRUE(proba.empty());
+  EXPECT_TRUE(labels.empty());
+
+  Matrix narrow(4, 1, 0.5);
+  EXPECT_THROW(mapped->predict_into(narrow, proba, labels), InvalidArgument);
+}
+
+/// The engine polls predict_into once per batch on the streaming hot
+/// path: after the first (sizing) call, repeated predictions on reused
+/// scratch must not touch the heap.
+void expect_warm_predict_allocation_free(const CompiledForest& model) {
+  const Matrix rows = noisy(64, 52).x;
+  Matrix scratch = rows;
+  RealVector proba;
+  std::vector<int> labels;
+  for (int warm = 0; warm < 3; ++warm) {
+    model.predict_into(scratch, proba, labels);
+  }
+  const std::size_t before = esl::testing::allocation_count();
+  for (int i = 0; i < 10; ++i) {
+    model.predict_into(scratch, proba, labels);
+  }
+  EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
+}
+
+TEST(CompiledForest, WarmPredictIntoIsAllocationFree) {
+  RandomForest forest;
+  forest.fit(noisy(200, 51), 3);
+  const RowScaler scaler = {RealVector(10, 0.1), RealVector(10, 1.2)};
+  expect_warm_predict_allocation_free(CompiledForest(forest, scaler));
+}
+
+TEST(CompiledForest, MappedWarmPredictIntoIsAllocationFree) {
+  RandomForest forest;
+  forest.fit(noisy(200, 71), 3);
+  const RowScaler scaler = {RealVector(10, 0.1), RealVector(10, 1.2)};
+  expect_warm_predict_allocation_free(
+      *mapped_copy(CompiledForest(forest, scaler)));
 }
 
 TEST(ForestModel, RejectsNullAndUnfittedForest) {
