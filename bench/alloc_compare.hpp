@@ -1,12 +1,13 @@
-// Shared allocating-vs-workspace comparison harness for the `--json`
-// mode of the micro benches (micro_dsp, micro_features).
+// Shared before/after comparison harness for the `--json` modes of the
+// micro benches.
 //
-// Each bench measures pairs of closures — the allocating "before" path
-// and the workspace-threaded "after" path — reporting windows/sec and
-// allocs/window (via the counting operator new each bench binary defines
-// with ESL_DEFINE_COUNTING_ALLOCATOR). Keeping the timing protocol and
-// the JSON schema here means BENCH_dsp.json and BENCH_features.json can
-// never silently diverge in format for cross-commit tracking consumers.
+// `measure` times one closure ("one window of work per call") and its
+// allocation rate via the counting operator new each bench binary
+// defines with ESL_DEFINE_COUNTING_ALLOCATOR; micro_inference and
+// micro_dsp use it. micro_dsp reports its rows as Comparison pairs — the
+// same workspace transform with the kernels:: dispatch forced to scalar
+// ("before") and at the host's widest SIMD level ("after") — through the
+// table and JSON writers below (the BENCH_dsp.json schema).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -50,8 +51,8 @@ PathResult measure(Fn&& fn, std::size_t iterations) {
 
 struct Comparison {
   const char* name;
-  PathResult before;  // allocating path
-  PathResult after;   // workspace path
+  PathResult before;  // baseline, e.g. scalar kernels
+  PathResult after;   // candidate, e.g. widest SIMD level
 };
 
 /// Human-readable before/after table on stdout.
@@ -67,7 +68,7 @@ inline void print_comparison_table(const char* label_header,
   }
 }
 
-/// Machine-readable comparison JSON (the BENCH_dsp/BENCH_features schema).
+/// Machine-readable comparison JSON (the BENCH_dsp schema).
 inline int write_comparison_json(const std::string& path,
                                  const char* bench_name,
                                  const std::vector<Comparison>& comparisons) {

@@ -2,12 +2,13 @@
 // (4 s windows at 256 Hz = 1024 samples).
 //
 // Two modes:
-//  * default: Google Benchmark suite, including allocating-vs-workspace
-//    pairs for the hot transforms;
-//  * --json PATH: self-timed before/after comparison of the allocating
-//    and workspace-threaded paths — windows/sec and allocs/window for
-//    each — written as machine-readable JSON (BENCH_dsp.json in CI) so
-//    the zero-alloc trajectory can be tracked across commits.
+//  * default: Google Benchmark suite over the workspace transforms, one
+//    warm dsp::Workspace per case (the per-stream serving pattern);
+//  * --json PATH: self-timed scalar-vs-SIMD comparison of the hot
+//    transforms — the same workspace call with the kernels:: dispatch
+//    forced to scalar, then at the host's widest level — windows/sec and
+//    allocs/window for each, written as machine-readable JSON
+//    (BENCH_dsp.json in CI).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -40,35 +41,15 @@ RealVector random_signal(std::size_t n, std::uint64_t seed) {
 
 void bm_fft_1024(benchmark::State& state) {
   const RealVector x = random_signal(1024, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::rfft(x));
-  }
-}
-BENCHMARK(bm_fft_1024);
-
-void bm_fft_1024_workspace(benchmark::State& state) {
-  const RealVector x = random_signal(1024, 1);
   dsp::Workspace ws;
   for (auto _ : state) {
     dsp::rfft_into(x, ws, ws.spectrum);
     benchmark::DoNotOptimize(ws.spectrum.data());
   }
 }
-BENCHMARK(bm_fft_1024_workspace);
+BENCHMARK(bm_fft_1024);
 
 void bm_fft_bluestein_1000(benchmark::State& state) {
-  dsp::ComplexVector x(1000);
-  Rng rng(2);
-  for (auto& v : x) {
-    v = dsp::Complex(rng.normal(), rng.normal());
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::fft(x));
-  }
-}
-BENCHMARK(bm_fft_bluestein_1000);
-
-void bm_fft_bluestein_1000_workspace(benchmark::State& state) {
   dsp::ComplexVector x(1000);
   Rng rng(2);
   for (auto& v : x) {
@@ -80,17 +61,9 @@ void bm_fft_bluestein_1000_workspace(benchmark::State& state) {
     benchmark::DoNotOptimize(ws.spectrum.data());
   }
 }
-BENCHMARK(bm_fft_bluestein_1000_workspace);
+BENCHMARK(bm_fft_bluestein_1000);
 
 void bm_periodogram_window(benchmark::State& state) {
-  const RealVector x = random_signal(1024, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::periodogram(x, 256.0));
-  }
-}
-BENCHMARK(bm_periodogram_window);
-
-void bm_periodogram_window_workspace(benchmark::State& state) {
   const RealVector x = random_signal(1024, 3);
   dsp::Workspace ws;
   for (auto _ : state) {
@@ -98,18 +71,9 @@ void bm_periodogram_window_workspace(benchmark::State& state) {
     benchmark::DoNotOptimize(ws.psd.density.data());
   }
 }
-BENCHMARK(bm_periodogram_window_workspace);
+BENCHMARK(bm_periodogram_window);
 
 void bm_wavedec_db4_level7(benchmark::State& state) {
-  const RealVector x = random_signal(1024, 4);
-  const dsp::Wavelet db4 = dsp::Wavelet::daubechies(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::wavedec(x, db4, 7));
-  }
-}
-BENCHMARK(bm_wavedec_db4_level7);
-
-void bm_wavedec_db4_level7_workspace(benchmark::State& state) {
   const RealVector x = random_signal(1024, 4);
   const dsp::Wavelet db4 = dsp::Wavelet::daubechies(4);
   dsp::Workspace ws;
@@ -118,17 +82,9 @@ void bm_wavedec_db4_level7_workspace(benchmark::State& state) {
     benchmark::DoNotOptimize(ws.decomposition.approx.data());
   }
 }
-BENCHMARK(bm_wavedec_db4_level7_workspace);
+BENCHMARK(bm_wavedec_db4_level7);
 
 void bm_welch_one_minute(benchmark::State& state) {
-  const RealVector x = random_signal(60 * 256, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::welch(x, 256.0, 1024));
-  }
-}
-BENCHMARK(bm_welch_one_minute)->Unit(benchmark::kMillisecond);
-
-void bm_welch_one_minute_workspace(benchmark::State& state) {
   const RealVector x = random_signal(60 * 256, 5);
   dsp::Workspace ws;
   for (auto _ : state) {
@@ -136,7 +92,7 @@ void bm_welch_one_minute_workspace(benchmark::State& state) {
     benchmark::DoNotOptimize(ws.psd.density.data());
   }
 }
-BENCHMARK(bm_welch_one_minute_workspace)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_welch_one_minute)->Unit(benchmark::kMillisecond);
 
 void bm_permutation_entropy(benchmark::State& state) {
   const auto order = static_cast<std::size_t>(state.range(0));
@@ -157,65 +113,24 @@ void bm_sample_entropy_level6(benchmark::State& state) {
 BENCHMARK(bm_sample_entropy_level6);
 
 // --------------------------------------------------------------- --json
-// Self-timed allocating-vs-workspace comparison (no Google Benchmark so
-// the allocation counts are exactly the measured calls and nothing else).
-// Harness + JSON schema shared with micro_features (alloc_compare.hpp).
+// Self-timed (no Google Benchmark, so the allocation counts are exactly
+// the measured calls and nothing else). Harness + JSON schema in
+// alloc_compare.hpp.
 
 using bench::Comparison;
 using bench::measure;
 
 int run_json_mode(const std::string& path) {
   const RealVector x1024 = random_signal(1024, 3);
-  const RealVector x1000 = random_signal(1000, 8);
   const dsp::Wavelet db4 = dsp::Wavelet::daubechies(4);
   dsp::Workspace ws;
   std::vector<Comparison> comparisons;
 
-  comparisons.push_back(
-      {"periodogram_1024",
-       measure([&] { benchmark::DoNotOptimize(dsp::periodogram(x1024, 256.0)); },
-               20000),
-       measure(
-           [&] {
-             dsp::periodogram_into(x1024, 256.0, ws, ws.psd);
-             benchmark::DoNotOptimize(ws.psd.density.data());
-           },
-           20000)});
-  comparisons.push_back(
-      {"periodogram_bluestein_1000",
-       measure([&] { benchmark::DoNotOptimize(dsp::periodogram(x1000, 256.0)); },
-               5000),
-       measure(
-           [&] {
-             dsp::periodogram_into(x1000, 256.0, ws, ws.psd);
-             benchmark::DoNotOptimize(ws.psd.density.data());
-           },
-           5000)});
-  comparisons.push_back(
-      {"wavedec_db4_level7_1024",
-       measure([&] { benchmark::DoNotOptimize(dsp::wavedec(x1024, db4, 7)); },
-               20000),
-       measure(
-           [&] {
-             dsp::wavedec_into(x1024, db4, 7, ws, ws.decomposition);
-             benchmark::DoNotOptimize(ws.decomposition.approx.data());
-           },
-           20000)});
-  comparisons.push_back(
-      {"rfft_1024",
-       measure([&] { benchmark::DoNotOptimize(dsp::rfft(x1024)); }, 50000),
-       measure(
-           [&] {
-             dsp::rfft_into(x1024, ws, ws.spectrum);
-             benchmark::DoNotOptimize(ws.spectrum.data());
-           },
-           50000)});
-
-  // Scalar-vs-SIMD rows: the same workspace path measured twice, with
-  // the kernels:: dispatch forced to scalar for "before" and back to the
-  // host's widest level for "after" (outputs are bit-identical either
-  // way — see the dsp.SimdParity suites — so this isolates pure kernel
-  // speedup on the hot loops).
+  // The same workspace path measured twice, with the kernels:: dispatch
+  // forced to scalar for "before" and back to the host's widest level
+  // for "after" (outputs are bit-identical either way — see the
+  // dsp.SimdParity suites — so this isolates pure kernel speedup on the
+  // hot loops).
   const kernels::SimdLevel widest = kernels::detected_level();
   auto measure_at_level = [&](kernels::SimdLevel level, auto&& fn,
                               std::size_t iterations) {

@@ -1,26 +1,16 @@
 // Microbenchmarks of the feature extraction pipeline: per-window cost of
-// the 10-feature (labeling) and 54x2-feature (real-time classifier) sets,
-// and whole-record throughput.
-//
-// Two modes:
-//  * default: Google Benchmark suite, including allocating-vs-workspace
-//    pairs for both extractors;
-//  * --json PATH: self-timed before/after comparison — windows/sec and
-//    allocs/window for the allocating and the workspace-threaded
-//    extract_into paths (BENCH_features.json in CI).
+// the 10-feature (labeling) and 54x2-feature (real-time classifier) sets
+// on one warm dsp::Workspace, and whole-record throughput. perfbench's
+// features.* layer metrics time the same extract_into calls.
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <vector>
 
-#include "alloc_compare.hpp"
 #include "dsp/workspace.hpp"
 #include "features/eglass_features.hpp"
 #include "features/extractor.hpp"
 #include "features/paper_features.hpp"
 #include "sim/cohort.hpp"
-
-ESL_DEFINE_COUNTING_ALLOCATOR();
 
 namespace {
 
@@ -37,18 +27,6 @@ void bm_paper_features_window(benchmark::State& state) {
   const std::vector<std::span<const Real>> window = {
       std::span<const Real>(record.channel(0).samples).subspan(0, 1024),
       std::span<const Real>(record.channel(1).samples).subspan(0, 1024)};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.extract(window, 256.0));
-  }
-}
-BENCHMARK(bm_paper_features_window);
-
-void bm_paper_features_window_workspace(benchmark::State& state) {
-  const auto record = simulator().synthesize_background_record(0, 8.0, 1);
-  const features::PaperFeatureExtractor extractor;
-  const std::vector<std::span<const Real>> window = {
-      std::span<const Real>(record.channel(0).samples).subspan(0, 1024),
-      std::span<const Real>(record.channel(1).samples).subspan(0, 1024)};
   dsp::Workspace ws;
   RealVector row;
   for (auto _ : state) {
@@ -56,7 +34,7 @@ void bm_paper_features_window_workspace(benchmark::State& state) {
     benchmark::DoNotOptimize(row.data());
   }
 }
-BENCHMARK(bm_paper_features_window_workspace);
+BENCHMARK(bm_paper_features_window);
 
 void bm_eglass_features_window(benchmark::State& state) {
   const auto record = simulator().synthesize_background_record(0, 8.0, 2);
@@ -64,18 +42,6 @@ void bm_eglass_features_window(benchmark::State& state) {
   const std::vector<std::span<const Real>> window = {
       std::span<const Real>(record.channel(0).samples).subspan(0, 1024),
       std::span<const Real>(record.channel(1).samples).subspan(0, 1024)};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.extract(window, 256.0));
-  }
-}
-BENCHMARK(bm_eglass_features_window);
-
-void bm_eglass_features_window_workspace(benchmark::State& state) {
-  const auto record = simulator().synthesize_background_record(0, 8.0, 2);
-  const features::EglassFeatureExtractor extractor(2);
-  const std::vector<std::span<const Real>> window = {
-      std::span<const Real>(record.channel(0).samples).subspan(0, 1024),
-      std::span<const Real>(record.channel(1).samples).subspan(0, 1024)};
   dsp::Workspace ws;
   RealVector row;
   for (auto _ : state) {
@@ -83,7 +49,7 @@ void bm_eglass_features_window_workspace(benchmark::State& state) {
     benchmark::DoNotOptimize(row.data());
   }
 }
-BENCHMARK(bm_eglass_features_window_workspace);
+BENCHMARK(bm_eglass_features_window);
 
 void bm_paper_features_per_minute_of_record(benchmark::State& state) {
   const auto record = simulator().synthesize_background_record(1, 60.0, 3);
@@ -105,50 +71,4 @@ void bm_record_synthesis_per_minute(benchmark::State& state) {
 }
 BENCHMARK(bm_record_synthesis_per_minute)->Unit(benchmark::kMillisecond);
 
-// --------------------------------------------------------------- --json
-// Harness + JSON schema shared with micro_dsp (alloc_compare.hpp).
-
-using bench::Comparison;
-using bench::measure;
-
-int run_json_mode(const std::string& path) {
-  const auto record = simulator().synthesize_background_record(0, 8.0, 2);
-  const std::vector<std::span<const Real>> window = {
-      std::span<const Real>(record.channel(0).samples).subspan(0, 1024),
-      std::span<const Real>(record.channel(1).samples).subspan(0, 1024)};
-  const features::EglassFeatureExtractor eglass(2);
-  const features::PaperFeatureExtractor paper;
-  dsp::Workspace ws;
-  RealVector row;
-  std::vector<Comparison> comparisons;
-
-  comparisons.push_back(
-      {"eglass_window_1024",
-       measure([&] { benchmark::DoNotOptimize(eglass.extract(window, 256.0)); },
-               2000),
-       measure(
-           [&] {
-             eglass.extract_into(window, 256.0, row, ws);
-             benchmark::DoNotOptimize(row.data());
-           },
-           2000)});
-  comparisons.push_back(
-      {"paper_window_1024",
-       measure([&] { benchmark::DoNotOptimize(paper.extract(window, 256.0)); },
-               2000),
-       measure(
-           [&] {
-             paper.extract_into(window, 256.0, row, ws);
-             benchmark::DoNotOptimize(row.data());
-           },
-           2000)});
-
-  bench::print_comparison_table("extractor", comparisons);
-  return bench::write_comparison_json(path, "micro_features", comparisons);
-}
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  return esl::bench::benchmark_main_with_json(argc, argv, run_json_mode);
-}

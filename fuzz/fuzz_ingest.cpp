@@ -73,18 +73,24 @@ double folded(double value, double lo, double hi) {
 
 /// Ingest-path session: geometry folded into cheap-but-varied ranges
 /// (the unbounded raw config is validate()'s job, stage 1). Windows stay
-/// tiny so tens of adversarial chunks complete within the fuzz budget.
-SessionConfig bounded_config(const RawConfig& raw) {
+/// tiny — between the extractor's minimum and twice it — so tens of
+/// adversarial chunks complete within the fuzz budget, and the history
+/// ring holds one to four windows.
+SessionConfig bounded_config(const RawConfig& raw, std::size_t min_window) {
   SessionConfig config;
-  config.sample_rate_hz =
-      static_cast<Real>(folded(raw.sample_rate_hz, 4.0, 64.0));
-  config.window_seconds =
-      static_cast<Real>(folded(raw.window_seconds, 0.25, 2.0));
+  const double sample_rate_hz = folded(raw.sample_rate_hz, 4.0, 64.0);
+  const double min_seconds =
+      static_cast<double>(min_window) / sample_rate_hz;
+  const double window_seconds =
+      folded(raw.window_seconds, min_seconds, 2.0 * min_seconds);
+  config.sample_rate_hz = static_cast<Real>(sample_rate_hz);
+  config.window_seconds = static_cast<Real>(window_seconds);
   config.overlap = static_cast<Real>(folded(raw.overlap, 0.0, 0.9375));
   config.alarm_consecutive = 1 + raw.alarm_consecutive % 4;
   config.history_seconds =
       (raw.flags & 1) != 0
-          ? static_cast<Real>(folded(raw.history_seconds, 4.0, 16.0))
+          ? static_cast<Real>(folded(raw.history_seconds, window_seconds,
+                                     4.0 * window_seconds))
           : Real{0.0};
   config.use_fleet_model = (raw.use_fleet_model & 1) != 0;
   return config;
@@ -93,7 +99,8 @@ SessionConfig bounded_config(const RawConfig& raw) {
 void drive_ingest(const RawConfig& raw, std::span<const std::uint8_t> tape) {
   const std::size_t channels = 1 + raw.channels % 2;
   const esl::features::EglassFeatureExtractor extractor(channels);
-  PatientSession session(raw.flags, extractor, bounded_config(raw));
+  PatientSession session(raw.flags, extractor,
+                         bounded_config(raw, extractor.min_window_length()));
 
   // Reinterpret the tape as sample payloads: arbitrary bit patterns,
   // so NaNs, infinities and denormals flow through the DSP pipeline.

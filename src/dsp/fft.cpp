@@ -31,8 +31,8 @@ void bit_reverse_permute(std::span<Complex> data) {
 
 /// Radix-2 FFT over workspace-cached per-stage twiddle tables, each
 /// stage dispatched through the vectorized kernels:: seam. Twiddles come
-/// from the same w *= wlen recurrence the historical scalar loop ran, so
-/// results are bit-identical to it at every SIMD level.
+/// from the same w *= wlen recurrence fft_radix2_inplace runs, so results
+/// are bit-identical to it at every SIMD level.
 void radix2_with_workspace(std::span<Complex> data, bool inverse,
                            Workspace& ws) {
   const std::size_t n = data.size();
@@ -109,13 +109,6 @@ void bluestein_into(std::span<const Complex> input, bool inverse,
   }
 }
 
-ComplexVector bluestein(std::span<const Complex> input, bool inverse) {
-  Workspace ws;
-  ComplexVector out;
-  bluestein_into(input, inverse, ws, out);
-  return out;
-}
-
 /// Even-length real FFT via one half-length complex FFT: z[m] =
 /// x[2m] + i*x[2m+1] is transformed (radix-2 when n/2 is a power of two,
 /// Bluestein otherwise) and the n/2 + 1 non-redundant bins are recovered
@@ -159,10 +152,10 @@ std::size_t next_power_of_two(std::size_t n) {
 }
 
 void fft_radix2_inplace(std::span<Complex> data, bool inverse) {
-  // Allocation-free public primitive: twiddles come from the historical
-  // in-register w *= wlen recurrence. The workspace overloads cache the
-  // same values as per-stage tables and run the vectorized kernels, and
-  // reproduce this loop bit for bit (WorkspaceParity/SimdParity suites).
+  // Test reference: twiddles come from the in-register w *= wlen
+  // recurrence. fft_into/ifft_into cache the same values as per-stage
+  // tables and run the vectorized kernels, and reproduce this loop bit
+  // for bit (WorkspaceParity/SimdParity suites).
   const std::size_t n = data.size();
   expects(is_power_of_two(n), "fft_radix2_inplace: size must be a power of two");
   if (n == 1) {
@@ -188,34 +181,6 @@ void fft_radix2_inplace(std::span<Complex> data, bool inverse) {
       v /= static_cast<Real>(n);
     }
   }
-}
-
-ComplexVector fft(std::span<const Complex> input) {
-  expects(!input.empty(), "fft: empty input");
-  if (is_power_of_two(input.size())) {
-    ComplexVector data(input.begin(), input.end());
-    fft_radix2_inplace(data, false);
-    return data;
-  }
-  return bluestein(input, false);
-}
-
-ComplexVector ifft(std::span<const Complex> input) {
-  expects(!input.empty(), "ifft: empty input");
-  if (is_power_of_two(input.size())) {
-    ComplexVector data(input.begin(), input.end());
-    fft_radix2_inplace(data, true);
-    return data;
-  }
-  return bluestein(input, true);
-}
-
-ComplexVector rfft(std::span<const Real> input) {
-  expects(!input.empty(), "rfft: empty input");
-  Workspace workspace;
-  ComplexVector out;
-  rfft_into(input, workspace, out);
-  return out;
 }
 
 void fft_into(std::span<const Complex> input, Workspace& workspace,

@@ -25,43 +25,35 @@ bool is_power_of_two(std::size_t n);
 /// Smallest power of two >= n (n >= 1).
 std::size_t next_power_of_two(std::size_t n);
 
-/// In-place radix-2 FFT. Requires power-of-two size. Allocation-free
-/// scalar primitive; the workspace overloads below are bit-identical
-/// and run the vectorized kernel stages over cached twiddle tables.
-/// `inverse` selects the conjugate transform and applies the 1/N scale.
+/// In-place radix-2 FFT over the in-register w *= wlen twiddle
+/// recurrence. Requires power-of-two size. Not on any serving path: it is
+/// the scalar reference the test suites hold fft_into/ifft_into to, bit
+/// for bit, at every SIMD level. `inverse` selects the conjugate
+/// transform and applies the 1/N scale.
 void fft_radix2_inplace(std::span<Complex> data, bool inverse);
 
-/// Forward FFT of arbitrary size (radix-2 when possible, Bluestein otherwise).
-ComplexVector fft(std::span<const Complex> input);
-
-/// Inverse FFT of arbitrary size; applies the 1/N normalization.
-ComplexVector ifft(std::span<const Complex> input);
-
-/// Forward FFT of a real signal; returns the n/2+1 non-redundant bins.
-/// Even lengths use the half-complex specialization: one n/2-point
-/// complex FFT of z[m] = x[2m] + i*x[2m+1] plus a Hermitian unpack, so a
-/// real window never pays for the redundant conjugate half.
-ComplexVector rfft(std::span<const Real> input);
-
-/// Naive O(n^2) DFT used as a test oracle.
+/// Naive O(n^2) DFT; a test oracle for every transform below.
 ComplexVector dft_reference(std::span<const Complex> input);
 
-// Workspace-threaded overloads: bit-identical to the functions above but
-// all temporaries (Bluestein chirp/convolution buffers, real-to-complex
-// staging) come from `workspace` and `out` is caller-owned, so a warm
-// call performs no heap allocation. `out` may be workspace.spectrum; it
-// must not alias `input` or workspace scratch. See dsp/workspace.hpp.
+// Transforms. All temporaries (cached twiddle tables, Bluestein
+// chirp/convolution buffers, real-to-complex staging) come from
+// `workspace` and `out` is caller-owned, so a warm call performs no heap
+// allocation. `out` may be workspace.spectrum; it must not alias `input`
+// or workspace scratch. See dsp/workspace.hpp.
 
-/// fft() into a caller-owned buffer.
+/// Forward FFT of arbitrary size (radix-2 when possible, Bluestein
+/// otherwise).
 void fft_into(std::span<const Complex> input, Workspace& workspace,
               ComplexVector& out);
 
-/// ifft() into a caller-owned buffer.
+/// Inverse FFT of arbitrary size; applies the 1/N normalization.
 void ifft_into(std::span<const Complex> input, Workspace& workspace,
                ComplexVector& out);
 
-/// rfft() into a caller-owned buffer (n/2+1 non-redundant bins), with
-/// the same even-length half-complex specialization.
+/// Forward FFT of a real signal; writes the n/2+1 non-redundant bins.
+/// Even lengths use the half-complex specialization: one n/2-point
+/// complex FFT of z[m] = x[2m] + i*x[2m+1] plus a Hermitian unpack, so a
+/// real window never pays for the redundant conjugate half.
 void rfft_into(std::span<const Real> input, Workspace& workspace,
                ComplexVector& out);
 

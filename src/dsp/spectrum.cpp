@@ -37,14 +37,6 @@ void periodogram_into(std::span<const Real> signal, Real sample_rate_hz,
                          out.density.data());
 }
 
-Psd periodogram(std::span<const Real> signal, Real sample_rate_hz,
-                WindowKind window) {
-  Workspace workspace;
-  Psd psd;
-  periodogram_into(signal, sample_rate_hz, workspace, psd, window);
-  return psd;
-}
-
 void welch_into(std::span<const Real> signal, Real sample_rate_hz,
                 std::size_t segment_length, Workspace& workspace, Psd& out,
                 Real overlap, WindowKind window) {
@@ -63,7 +55,7 @@ void welch_into(std::span<const Real> signal, Real sample_rate_hz,
        start += hop) {
     if (segments == 0) {
       // First segment lands directly in the accumulator (frequency axis
-      // included), exactly like the allocating path's initial copy.
+      // included); later segments add their density into it.
       periodogram_into(signal.subspan(start, segment_length), sample_rate_hz,
                        workspace, out, window);
     } else {
@@ -78,15 +70,6 @@ void welch_into(std::span<const Real> signal, Real sample_rate_hz,
   for (auto& v : out.density) {
     v /= static_cast<Real>(segments);
   }
-}
-
-Psd welch(std::span<const Real> signal, Real sample_rate_hz,
-          std::size_t segment_length, Real overlap, WindowKind window) {
-  Workspace workspace;
-  Psd accumulated;
-  welch_into(signal, sample_rate_hz, segment_length, workspace, accumulated,
-             overlap, window);
-  return accumulated;
 }
 
 Real band_power(const Psd& psd, Band band) {

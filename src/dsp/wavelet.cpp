@@ -44,10 +44,10 @@ RealVector daubechies_lowpass(int vanishing_moments) {
   }
 }
 
-/// Single-level analysis core shared by the allocating and workspace
-/// paths: writes the coefficient pair into `approx`/`detail` (resized,
-/// capacity retained) with `padded_scratch` holding the odd-length
-/// periodization copy when needed.
+/// Single-level analysis core shared by dwt_single_into and
+/// wavedec_into: writes the coefficient pair into `approx`/`detail`
+/// (resized, capacity retained) with `padded_scratch` holding the
+/// odd-length periodization copy when needed.
 void dwt_single_buffers(std::span<const Real> signal, const Wavelet& wavelet,
                         ExtensionMode mode, RealVector& padded_scratch,
                         RealVector& approx, RealVector& detail);
@@ -133,14 +133,6 @@ Wavelet Wavelet::daubechies(int vanishing_moments) {
                  daubechies_lowpass(vanishing_moments));
 }
 
-DwtLevel dwt_single(std::span<const Real> signal, const Wavelet& wavelet,
-                    ExtensionMode mode) {
-  DwtLevel out;
-  RealVector padded;
-  dwt_single_buffers(signal, wavelet, mode, padded, out.approx, out.detail);
-  return out;
-}
-
 void dwt_single_into(std::span<const Real> signal, const Wavelet& wavelet,
                      Workspace& workspace, DwtLevel& out, ExtensionMode mode) {
   dwt_single_buffers(signal, wavelet, mode, workspace.padded, out.approx,
@@ -214,13 +206,10 @@ std::size_t max_decomposition_levels(std::size_t signal_length,
   return levels;
 }
 
-WaveletDecomposition wavedec(std::span<const Real> signal,
-                             const Wavelet& wavelet, std::size_t levels,
-                             ExtensionMode mode) {
-  Workspace workspace;
-  WaveletDecomposition out;
-  wavedec_into(signal, wavelet, levels, workspace, out, mode);
-  return out;
+std::size_t min_periodic_wavedec_length(std::size_t levels) {
+  expects(levels >= 1 && levels < 64,
+          "min_periodic_wavedec_length: levels must lie in [1, 63]");
+  return (std::size_t{1} << (levels - 1)) + 1;
 }
 
 void wavedec_into(std::span<const Real> signal, const Wavelet& wavelet,
@@ -258,12 +247,6 @@ RealVector waverec(const WaveletDecomposition& decomposition,
                           decomposition.signal_lengths[level]);
   }
   return current;
-}
-
-RealVector wavelet_energy_distribution(const WaveletDecomposition& d) {
-  RealVector energies;
-  wavelet_energy_distribution_into(d, energies);
-  return energies;
 }
 
 void wavelet_energy_distribution_into(const WaveletDecomposition& d,

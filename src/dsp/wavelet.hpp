@@ -61,10 +61,6 @@ struct DwtLevel {
   RealVector detail;
 };
 
-/// Single-level analysis. Requires at least 2 samples.
-DwtLevel dwt_single(std::span<const Real> signal, const Wavelet& wavelet,
-                    ExtensionMode mode = ExtensionMode::kPeriodic);
-
 /// Single-level synthesis; `output_length` is the original signal length
 /// (needed because both n and n+1 map to the same coefficient lengths).
 RealVector idwt_single(std::span<const Real> approx,
@@ -93,40 +89,39 @@ struct WaveletDecomposition {
 std::size_t max_decomposition_levels(std::size_t signal_length,
                                      const Wavelet& wavelet);
 
-/// Multi-level analysis (wavedec). `levels` >= 1.
-WaveletDecomposition wavedec(std::span<const Real> signal,
-                             const Wavelet& wavelet, std::size_t levels,
-                             ExtensionMode mode = ExtensionMode::kPeriodic);
+/// Shortest signal a periodic-mode wavedec_into can decompose to `levels`
+/// (>= 1), for any wavelet: each level halves its input (rounding up) and
+/// the deepest still needs 2 samples, so 2^(levels-1) + 1 — 65 for the
+/// paper's 7 levels.
+std::size_t min_periodic_wavedec_length(std::size_t levels);
 
 /// Multi-level synthesis (waverec); returns a signal of the original length.
 RealVector waverec(const WaveletDecomposition& decomposition,
                    const Wavelet& wavelet,
                    ExtensionMode mode = ExtensionMode::kPeriodic);
 
-/// Fraction of total coefficient energy in each detail level plus the final
-/// approximation (levels()+1 entries summing to 1 for non-zero signals);
-/// used by the e-Glass-style feature set.
-RealVector wavelet_energy_distribution(const WaveletDecomposition& d);
+// Analysis. The periodization pad and approximation ping-pong buffers
+// come from `workspace` and the coefficients land in the caller-owned
+// `out` (which may be workspace.decomposition), whose per-level buffers
+// are reused, so a warm call performs no heap allocation. See
+// dsp/workspace.hpp.
 
-// Workspace-threaded overloads: bit-identical to the transforms above but
-// the periodization pad and approximation ping-pong buffers come from
-// `workspace` and the coefficients land in the caller-owned `out` (which
-// may be workspace.decomposition), whose per-level buffers are reused, so
-// a warm call performs no heap allocation. See dsp/workspace.hpp.
-
-/// dwt_single() into a caller-owned level.
+/// Single-level analysis. Requires at least 2 samples.
 void dwt_single_into(std::span<const Real> signal, const Wavelet& wavelet,
                      Workspace& workspace, DwtLevel& out,
                      ExtensionMode mode = ExtensionMode::kPeriodic);
 
-/// wavedec() into a caller-owned decomposition.
+/// Multi-level analysis (wavedec). `levels` >= 1, and every level's input
+/// needs at least 2 samples (see min_periodic_wavedec_length).
 void wavedec_into(std::span<const Real> signal, const Wavelet& wavelet,
                   std::size_t levels, Workspace& workspace,
                   WaveletDecomposition& out,
                   ExtensionMode mode = ExtensionMode::kPeriodic);
 
-/// wavelet_energy_distribution() into a caller-owned vector (cleared,
-/// capacity retained); needs no workspace.
+/// Fraction of total coefficient energy in each detail level plus the final
+/// approximation (levels()+1 entries summing to 1 for non-zero signals),
+/// written into a caller-owned vector (cleared, capacity retained); used
+/// by the e-Glass-style feature set.
 void wavelet_energy_distribution_into(const WaveletDecomposition& d,
                                       RealVector& out);
 

@@ -1,23 +1,27 @@
 // Reusable DSP scratch arena for the allocation-free streaming hot path.
 //
-// Every `*_into(..., Workspace&)` overload in the DSP layer (fft.hpp,
-// spectrum.hpp, wavelet.hpp) draws its temporaries from a Workspace
-// instead of the heap. Buffers grow on first use and are retained, so a
-// workspace that has seen one window of a given geometry (length, taper,
-// wavelet levels) performs zero heap allocations for every following
-// window of the same geometry. The workspace overloads are bit-identical
-// to the allocating signatures — same arithmetic, same operation order —
-// which the WorkspaceParity test suites assert element by element.
+// Every DSP transform (fft.hpp, spectrum.hpp, wavelet.hpp) is a
+// `*_into(..., Workspace&)` function that draws its temporaries from a
+// Workspace instead of the heap, and it is the transform's only spelling
+// (tools/lint_invariants.py rejects a `name(` beside a `name_into(`).
+// Buffers grow on first use and are retained, so a workspace that has
+// seen one window of a given geometry (length, taper, wavelet levels)
+// performs zero heap allocations for every following window of the same
+// geometry. Warm equals cold: a call on a long-lived workspace, whatever
+// geometries it saw before, returns the same bits as the same call on a
+// fresh one — the caches are pure functions of their keys. The
+// WorkspaceParity suites assert that element by element, and hold the
+// power-of-two FFT to the scalar fft_radix2_inplace reference.
 //
 // Ownership rules (see README "Serving at scale"):
 //  * one Workspace per stream: StreamingExtractor (and therefore every
 //    engine::PatientSession) owns one, so shard workers never share one;
-//  * a Workspace is NOT thread-safe — never call workspace overloads on
+//  * a Workspace is NOT thread-safe — never call workspace functions on
 //    the same instance from two threads concurrently;
 //  * result slots (psd, decomposition, energy, spectrum) stay valid until
 //    the next workspace call that writes the same slot — copy them out
 //    if you need two results of the same kind alive at once;
-//  * scratch members may alias nothing passed into a workspace overload
+//  * scratch members may alias nothing passed into a workspace function
 //    except the documented result slots.
 #pragma once
 
@@ -47,9 +51,9 @@ class Workspace {
   // ------------------------------------------------------------- results
   // Standard result slots the feature layer reads after a workspace call.
   // Each is also accepted as the explicit `out` argument of the matching
-  // `*_into` overload (out may be a result slot, never internal scratch).
+  // `*_into` function (out may be a result slot, never internal scratch).
 
-  /// rfft/fft/ifft workspace overloads write here; periodogram clobbers it.
+  /// rfft_into/fft_into/ifft_into write here; periodogram_into clobbers it.
   ComplexVector spectrum;
   /// periodogram_into / welch_into result storage.
   Psd psd;
@@ -88,9 +92,9 @@ class Workspace {
   /// [len/2 - 1, len - 1). Directions cache independently so a
   /// forward-only caller never builds the inverse table, while
   /// Bluestein (which mixes both at one size) still fills each exactly
-  /// once. Values come from the exact w *= wlen recurrence the scalar
-  /// butterflies used, so the cached tables are bit-identical to the
-  /// historical running twiddle.
+  /// once. Values come from the exact w *= wlen recurrence
+  /// fft_radix2_inplace runs, so the cached tables are bit-identical to
+  /// its running twiddle.
   ComplexVector twiddle_forward;
   ComplexVector twiddle_inverse;
   std::size_t twiddle_forward_length = 0;

@@ -48,7 +48,9 @@ struct SessionConfig {
 /// alarm_consecutive >= 1, history_seconds >= 0. Engine::add_session and
 /// DetectionService::create_session validate through this so bad
 /// geometry is rejected up front instead of failing deep inside the
-/// windowing path.
+/// windowing path. A window shorter than the extractor's
+/// min_window_length() is rejected by the PatientSession constructor,
+/// which knows the extractor, with the same InvalidArgument.
 void validate(const SessionConfig& config);
 
 /// Chunked ingest -> incremental windowing -> pending feature rows.

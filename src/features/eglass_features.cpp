@@ -128,19 +128,8 @@ std::vector<std::string> EglassFeatureExtractor::feature_names() const {
   return names;
 }
 
-RealVector EglassFeatureExtractor::extract(
-    const std::vector<std::span<const Real>>& channels,
-    Real sample_rate_hz) const {
-  RealVector out;
-  extract_into(channels, sample_rate_hz, out);
-  return out;
-}
-
-void EglassFeatureExtractor::extract_into(
-    const std::vector<std::span<const Real>>& channels, Real sample_rate_hz,
-    RealVector& out) const {
-  dsp::Workspace workspace;
-  extract_into(channels, sample_rate_hz, out, workspace);
+std::size_t EglassFeatureExtractor::min_window_length() const {
+  return dsp::min_periodic_wavedec_length(k_dwt_levels);
 }
 
 void EglassFeatureExtractor::extract_into(
@@ -151,7 +140,7 @@ void EglassFeatureExtractor::extract_into(
   out.clear();
   out.reserve(channels_ * k_eglass_features_per_channel);
   for (std::size_t c = 0; c < channels_; ++c) {
-    expects(channels[c].size() >= 16,
+    expects(channels[c].size() >= min_window_length(),
             "EglassFeatureExtractor: window too short");
     append_time_features(channels[c], out, workspace);
     append_spectral_features(channels[c], sample_rate_hz, out, workspace);

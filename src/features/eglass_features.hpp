@@ -26,17 +26,11 @@ class EglassFeatureExtractor final : public WindowFeatureExtractor {
 
   std::vector<std::string> feature_names() const override;
   std::size_t required_channels() const override { return channels_; }
-  RealVector extract(const std::vector<std::span<const Real>>& channels,
-                     Real sample_rate_hz) const override;
-  /// Streaming hot path: appends into the caller's reused row buffer
-  /// instead of allocating a fresh vector per window (DSP temporaries
-  /// come from a per-call workspace; use the overload below to reuse one).
-  void extract_into(const std::vector<std::span<const Real>>& channels,
-                    Real sample_rate_hz, RealVector& out) const override;
-  /// Zero-allocation hot path: all 54 features per channel computed from
-  /// the caller-owned workspace — after the first window of a given
-  /// geometry, no heap allocation at all. Bit-identical to the overloads
-  /// above.
+  /// The 7-level periodic DWT's minimum input length (65).
+  std::size_t min_window_length() const override;
+  /// All 54 features per channel computed from the caller-owned
+  /// workspace: after the first window of a given geometry, no heap
+  /// allocation at all.
   void extract_into(const std::vector<std::span<const Real>>& channels,
                     Real sample_rate_hz, RealVector& out,
                     dsp::Workspace& workspace) const override;

@@ -4,7 +4,8 @@
 // 4-second windows with 75 % overlap, i.e. the window slides by one second,
 // producing one feature row per second of signal. The extractor interface
 // is implemented by the paper's 10-feature set and by the e-Glass-style
-// 54-feature-per-electrode set.
+// 54-feature-per-electrode set. It has a single extraction entry point,
+// extract_into, which computes a row from caller-owned buffers only.
 #pragma once
 
 #include <memory>
@@ -33,35 +34,22 @@ class WindowFeatureExtractor {
   /// Number of channels the extractor expects.
   virtual std::size_t required_channels() const = 0;
 
-  /// Extracts features from one multichannel window. `channels[c]` is the
-  /// window of channel c; all spans have equal length.
-  virtual RealVector extract(
-      const std::vector<std::span<const Real>>& channels,
-      Real sample_rate_hz) const = 0;
+  /// Shortest per-channel window (in samples) the extractor can process.
+  /// StreamingExtractor, and therefore every engine::PatientSession,
+  /// rejects a shorter window geometry up front.
+  virtual std::size_t min_window_length() const { return 1; }
 
-  /// Allocation-aware variant for streaming hot paths: writes the feature
-  /// row into `out` (cleared, capacity retained). Extractors that build
-  /// their row incrementally override this so a caller-owned scratch row
-  /// is reused window after window; the default delegates to extract().
-  virtual void extract_into(const std::vector<std::span<const Real>>& channels,
-                            Real sample_rate_hz, RealVector& out) const {
-    out = extract(channels, sample_rate_hz);
-  }
-
-  /// Workspace-threaded variant: like extract_into above, but all DSP and
-  /// statistics temporaries come from the caller-owned `workspace`, so a
-  /// warm (extractor, window-geometry, workspace) triple computes the row
-  /// with zero heap allocations. Results are bit-identical to the
-  /// workspace-free overloads. One workspace per stream — never share one
-  /// across threads (see dsp/workspace.hpp). The default ignores the
-  /// workspace and delegates, so extractors without a zero-alloc path
-  /// keep working behind the same seam.
+  /// Extracts features from one multichannel window into `out` (cleared,
+  /// capacity retained). `channels[c]` is the window of channel c; all
+  /// spans have equal length. Every DSP and statistics temporary comes
+  /// from the caller-owned `workspace`, so a warm (extractor,
+  /// window-geometry, workspace) triple computes the row with zero heap
+  /// allocations, and a warm workspace yields the same bits as a fresh
+  /// one. One workspace per stream: never share one across threads (see
+  /// dsp/workspace.hpp).
   virtual void extract_into(const std::vector<std::span<const Real>>& channels,
                             Real sample_rate_hz, RealVector& out,
-                            dsp::Workspace& workspace) const {
-    (void)workspace;
-    extract_into(channels, sample_rate_hz, out);
-  }
+                            dsp::Workspace& workspace) const = 0;
 
   /// Number of output features (== feature_names().size()).
   std::size_t feature_count() const { return feature_names().size(); }

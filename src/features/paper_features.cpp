@@ -27,19 +27,8 @@ std::vector<std::string> PaperFeatureExtractor::feature_names() const {
   };
 }
 
-RealVector PaperFeatureExtractor::extract(
-    const std::vector<std::span<const Real>>& channels,
-    Real sample_rate_hz) const {
-  RealVector out;
-  extract_into(channels, sample_rate_hz, out);
-  return out;
-}
-
-void PaperFeatureExtractor::extract_into(
-    const std::vector<std::span<const Real>>& channels, Real sample_rate_hz,
-    RealVector& out) const {
-  dsp::Workspace workspace;
-  extract_into(channels, sample_rate_hz, out, workspace);
+std::size_t PaperFeatureExtractor::min_window_length() const {
+  return dsp::min_periodic_wavedec_length(config_.dwt_levels);
 }
 
 void PaperFeatureExtractor::extract_into(

@@ -32,13 +32,9 @@ class PaperFeatureExtractor final : public WindowFeatureExtractor {
 
   std::vector<std::string> feature_names() const override;
   std::size_t required_channels() const override { return 2; }
-  RealVector extract(const std::vector<std::span<const Real>>& channels,
-                     Real sample_rate_hz) const override;
-  /// Row-buffer variant (workspace created per call).
-  void extract_into(const std::vector<std::span<const Real>>& channels,
-                    Real sample_rate_hz, RealVector& out) const override;
-  /// Zero-allocation variant: PSD/DWT/entropy scratch comes from the
-  /// caller-owned workspace. Bit-identical to extract().
+  /// Minimum input length of the configured periodic DWT.
+  std::size_t min_window_length() const override;
+  /// PSD/DWT/entropy scratch comes from the caller-owned workspace.
   void extract_into(const std::vector<std::span<const Real>>& channels,
                     Real sample_rate_hz, RealVector& out,
                     dsp::Workspace& workspace) const override;

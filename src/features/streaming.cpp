@@ -6,21 +6,6 @@
 
 namespace esl::features {
 
-namespace {
-
-/// Sink adapter for the allocating convenience overload.
-class CollectSink final : public WindowSink {
- public:
-  void on_window(std::size_t /*index*/, Seconds /*start_s*/,
-                 std::span<const Real> row) override {
-    rows.emplace_back(row.begin(), row.end());
-  }
-
-  std::vector<RealVector> rows;
-};
-
-}  // namespace
-
 StreamingExtractor::StreamingExtractor(const WindowFeatureExtractor& extractor,
                                        Real sample_rate_hz,
                                        Seconds window_seconds, Real overlap)
@@ -38,7 +23,8 @@ StreamingExtractor::StreamingExtractor(const WindowFeatureExtractor& extractor,
   if (hop_ == 0) {
     hop_ = 1;
   }
-  expects(window_length_ >= 1, "StreamingExtractor: window too short");
+  expects(window_length_ >= extractor_.min_window_length(),
+          "StreamingExtractor: window shorter than the extractor's minimum");
   feature_count_ = extractor_.feature_count();
 
   const std::size_t channels = extractor_.required_channels();
@@ -94,13 +80,6 @@ std::size_t StreamingExtractor::push(
     }
   }
   return produced;
-}
-
-std::vector<RealVector> StreamingExtractor::push(
-    const std::vector<std::span<const Real>>& block) {
-  CollectSink sink;
-  push(block, sink);
-  return std::move(sink.rows);
 }
 
 Seconds StreamingExtractor::window_start_s(std::size_t index) const {

@@ -37,6 +37,8 @@ class WindowSink {
 class StreamingExtractor {
  public:
   /// `extractor` must outlive this object (it is borrowed, not copied).
+  /// Throws InvalidArgument when the window is shorter than
+  /// extractor.min_window_length() samples.
   StreamingExtractor(const WindowFeatureExtractor& extractor,
                      Real sample_rate_hz, Seconds window_seconds = 4.0,
                      Real overlap = 0.75);
@@ -52,9 +54,6 @@ class StreamingExtractor {
   /// emitted. This path does not allocate once warm.
   std::size_t push(const std::vector<std::span<const Real>>& block,
                    WindowSink& sink);
-
-  /// Convenience wrapper returning the completed rows by value.
-  std::vector<RealVector> push(const std::vector<std::span<const Real>>& block);
 
   /// Number of windows emitted so far.
   std::size_t emitted() const { return emitted_; }

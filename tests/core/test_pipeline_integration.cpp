@@ -13,6 +13,22 @@
 namespace esl::core {
 namespace {
 
+/// Appends each streamed window straight into a WindowedFeatures, the
+/// batch path's result type.
+class AppendToFeatures final : public features::WindowSink {
+ public:
+  explicit AppendToFeatures(features::WindowedFeatures& out) : out_(out) {}
+
+  void on_window(std::size_t /*index*/, Seconds start_s,
+                 std::span<const Real> row) override {
+    out_.features.append_row(row);
+    out_.window_start_s.push_back(start_s);
+  }
+
+ private:
+  features::WindowedFeatures& out_;
+};
+
 class PipelineIntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -47,6 +63,7 @@ TEST_F(PipelineIntegrationTest, StreamingPathYieldsIdenticalLabel) {
   features::WindowedFeatures streamed;
   streamed.window_seconds = 4.0;
   streamed.hop_seconds = 1.0;
+  AppendToFeatures sink(streamed);
   const std::size_t packet = 256;
   for (std::size_t pos = 0; pos < record_->length_samples(); pos += packet) {
     const std::size_t len =
@@ -56,11 +73,7 @@ TEST_F(PipelineIntegrationTest, StreamingPathYieldsIdenticalLabel) {
       block.push_back(
           std::span<const Real>(record_->channel(c).samples).subspan(pos, len));
     }
-    for (auto& row : streaming.push(block)) {
-      streamed.features.append_row(row);
-      streamed.window_start_s.push_back(
-          streaming.window_start_s(streamed.window_start_s.size()));
-    }
+    streaming.push(block, sink);
   }
   ASSERT_EQ(streamed.count(), batch.count());
 

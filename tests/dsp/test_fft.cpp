@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "dsp/workspace.hpp"
 
 namespace esl::dsp {
 namespace {
@@ -50,7 +51,9 @@ TEST(PowerOfTwo, NextPowerOfTwo) {
 TEST(Fft, ImpulseGivesFlatSpectrum) {
   ComplexVector x(8, Complex(0.0, 0.0));
   x[0] = Complex(1.0, 0.0);
-  const ComplexVector spectrum = fft(x);
+  Workspace ws;
+  ComplexVector spectrum;
+  fft_into(x, ws, spectrum);
   for (const auto& bin : spectrum) {
     EXPECT_NEAR(bin.real(), 1.0, 1e-12);
     EXPECT_NEAR(bin.imag(), 0.0, 1e-12);
@@ -59,7 +62,9 @@ TEST(Fft, ImpulseGivesFlatSpectrum) {
 
 TEST(Fft, ConstantGivesDcOnly) {
   ComplexVector x(16, Complex(1.0, 0.0));
-  const ComplexVector spectrum = fft(x);
+  Workspace ws;
+  ComplexVector spectrum;
+  fft_into(x, ws, spectrum);
   EXPECT_NEAR(spectrum[0].real(), 16.0, 1e-12);
   for (std::size_t k = 1; k < spectrum.size(); ++k) {
     EXPECT_NEAR(std::abs(spectrum[k]), 0.0, 1e-10);
@@ -74,7 +79,9 @@ TEST(Fft, SingleToneLandsInCorrectBin) {
     const Real phase = 2.0 * k_pi * static_cast<Real>(tone * i) / static_cast<Real>(n);
     x[i] = Complex(std::cos(phase), 0.0);
   }
-  const ComplexVector spectrum = fft(x);
+  Workspace ws;
+  ComplexVector spectrum;
+  fft_into(x, ws, spectrum);
   // cos -> two conjugate bins of magnitude n/2.
   EXPECT_NEAR(std::abs(spectrum[tone]), 32.0, 1e-9);
   EXPECT_NEAR(std::abs(spectrum[n - tone]), 32.0, 1e-9);
@@ -90,7 +97,9 @@ class FftAgainstDftTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(FftAgainstDftTest, MatchesReferenceDft) {
   const std::size_t n = GetParam();
   const ComplexVector x = random_complex(n, 1234 + n);
-  const ComplexVector fast = fft(x);
+  Workspace ws;
+  ComplexVector fast;
+  fft_into(x, ws, fast);
   const ComplexVector slow = dft_reference(x);
   EXPECT_LT(max_error(fast, slow), 1e-8 * static_cast<Real>(n));
 }
@@ -98,14 +107,20 @@ TEST_P(FftAgainstDftTest, MatchesReferenceDft) {
 TEST_P(FftAgainstDftTest, InverseRecoversInput) {
   const std::size_t n = GetParam();
   const ComplexVector x = random_complex(n, 999 + n);
-  const ComplexVector back = ifft(fft(x));
+  Workspace ws;
+  ComplexVector spectrum;
+  ComplexVector back;
+  fft_into(x, ws, spectrum);
+  ifft_into(spectrum, ws, back);
   EXPECT_LT(max_error(back, x), 1e-9 * static_cast<Real>(n));
 }
 
 TEST_P(FftAgainstDftTest, ParsevalHolds) {
   const std::size_t n = GetParam();
   const ComplexVector x = random_complex(n, 777 + n);
-  const ComplexVector spectrum = fft(x);
+  Workspace ws;
+  ComplexVector spectrum;
+  fft_into(x, ws, spectrum);
   Real time_energy = 0.0;
   for (const auto& v : x) {
     time_energy += std::norm(v);
@@ -133,8 +148,11 @@ TEST(Rfft, MatchesComplexFftHalfSpectrum) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     cx[i] = Complex(x[i], 0.0);
   }
-  const ComplexVector full = fft(cx);
-  const ComplexVector half = rfft(x);
+  Workspace ws;
+  ComplexVector full;
+  ComplexVector half;
+  fft_into(cx, ws, full);
+  rfft_into(x, ws, half);
   ASSERT_EQ(half.size(), 65u);
   for (std::size_t k = 0; k < half.size(); ++k) {
     EXPECT_NEAR(std::abs(half[k] - full[k]), 0.0, 1e-10);
@@ -148,16 +166,20 @@ TEST(Rfft, HermitianSymmetryImplicit) {
   for (auto& v : cx) {
     v = Complex(rng.normal(), 0.0);
   }
-  const ComplexVector full = fft(cx);
+  Workspace ws;
+  ComplexVector full;
+  fft_into(cx, ws, full);
   for (std::size_t k = 1; k < 16; ++k) {
     EXPECT_NEAR(std::abs(full[32 - k] - std::conj(full[k])), 0.0, 1e-10);
   }
 }
 
 TEST(Fft, RejectsEmptyInput) {
-  EXPECT_THROW(fft(ComplexVector{}), InvalidArgument);
-  EXPECT_THROW(ifft(ComplexVector{}), InvalidArgument);
-  EXPECT_THROW(rfft(RealVector{}), InvalidArgument);
+  Workspace ws;
+  ComplexVector out;
+  EXPECT_THROW(fft_into(ComplexVector{}, ws, out), InvalidArgument);
+  EXPECT_THROW(ifft_into(ComplexVector{}, ws, out), InvalidArgument);
+  EXPECT_THROW(rfft_into(RealVector{}, ws, out), InvalidArgument);
 }
 
 TEST(FftRadix2, RejectsNonPowerOfTwo) {
@@ -173,9 +195,13 @@ TEST(Fft, LinearityHolds) {
   for (std::size_t i = 0; i < n; ++i) {
     sum[i] = 2.0 * a[i] + 3.0 * b[i];
   }
-  const ComplexVector fa = fft(a);
-  const ComplexVector fb = fft(b);
-  const ComplexVector fsum = fft(sum);
+  Workspace ws;
+  ComplexVector fa;
+  ComplexVector fb;
+  ComplexVector fsum;
+  fft_into(a, ws, fa);
+  fft_into(b, ws, fb);
+  fft_into(sum, ws, fsum);
   for (std::size_t k = 0; k < n; ++k) {
     EXPECT_NEAR(std::abs(fsum[k] - (2.0 * fa[k] + 3.0 * fb[k])), 0.0, 1e-9);
   }

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "dsp/workspace.hpp"
 
 namespace esl::dsp {
 namespace {
@@ -32,7 +33,9 @@ RealVector white_noise(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Periodogram, FrequencyAxis) {
-  const Psd psd = periodogram(sine(10.0, 1.0, 1024), k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(sine(10.0, 1.0, 1024), k_fs, ws, psd);
   ASSERT_EQ(psd.frequency.size(), 513u);
   EXPECT_DOUBLE_EQ(psd.frequency.front(), 0.0);
   EXPECT_DOUBLE_EQ(psd.frequency.back(), 128.0);
@@ -40,7 +43,9 @@ TEST(Periodogram, FrequencyAxis) {
 }
 
 TEST(Periodogram, SinePowerConcentratesAtTone) {
-  const Psd psd = periodogram(sine(10.0, 1.0, 1024), k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(sine(10.0, 1.0, 1024), k_fs, ws, psd);
   // Peak bin should be at 10 Hz.
   std::size_t peak = 0;
   for (std::size_t k = 1; k < psd.density.size(); ++k) {
@@ -54,15 +59,19 @@ TEST(Periodogram, SinePowerConcentratesAtTone) {
 TEST(Periodogram, TotalPowerMatchesSineVariance) {
   // A sine of amplitude A has power A^2/2 (variance).
   const Real amplitude = 3.0;
-  const Psd psd =
-      periodogram(sine(10.0, amplitude, 4096), k_fs, WindowKind::kHann);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(sine(10.0, amplitude, 4096), k_fs, ws, psd,
+                   WindowKind::kHann);
   EXPECT_NEAR(total_power(psd), amplitude * amplitude / 2.0, 0.05);
 }
 
 TEST(Periodogram, ParsevalForWhiteNoise) {
   // Integrated PSD ~= signal variance (rectangular window, exact Parseval).
   const RealVector x = white_noise(8192, 3);
-  const Psd psd = periodogram(x, k_fs, WindowKind::kRectangular);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(x, k_fs, ws, psd, WindowKind::kRectangular);
   Real integrated = 0.0;
   for (const Real d : psd.density) {
     integrated += d * psd.bin_width();
@@ -76,16 +85,21 @@ TEST(Periodogram, ParsevalForWhiteNoise) {
 }
 
 TEST(Periodogram, RejectsBadInputs) {
+  Workspace ws;
+  Psd psd;
   const RealVector x = {1.0};
-  EXPECT_THROW(periodogram(x, k_fs), InvalidArgument);
+  EXPECT_THROW(periodogram_into(x, k_fs, ws, psd), InvalidArgument);
   const RealVector ok = {1.0, 2.0, 3.0};
-  EXPECT_THROW(periodogram(ok, 0.0), InvalidArgument);
+  EXPECT_THROW(periodogram_into(ok, 0.0, ws, psd), InvalidArgument);
 }
 
 TEST(Welch, AveragingReducesVariance) {
   const RealVector x = white_noise(16384, 9);
-  const Psd single = periodogram(x, k_fs);
-  const Psd averaged = welch(x, k_fs, 1024, 0.5);
+  Workspace ws;
+  Psd single;
+  periodogram_into(x, k_fs, ws, single);
+  Psd averaged;
+  welch_into(x, k_fs, 1024, ws, averaged, 0.5);
   // Bin-to-bin fluctuation of the Welch estimate should be much smaller.
   const auto fluctuation = [](const Psd& psd) {
     Real sum = 0.0;
@@ -99,8 +113,11 @@ TEST(Welch, AveragingReducesVariance) {
 
 TEST(Welch, FallsBackToPeriodogramForShortSignal) {
   const RealVector x = white_noise(256, 10);
-  const Psd direct = periodogram(x, k_fs);
-  const Psd fallback = welch(x, k_fs, 1024);
+  Workspace ws;
+  Psd direct;
+  periodogram_into(x, k_fs, ws, direct);
+  Psd fallback;
+  welch_into(x, k_fs, 1024, ws, fallback);
   ASSERT_EQ(direct.density.size(), fallback.density.size());
   for (std::size_t k = 0; k < direct.density.size(); ++k) {
     EXPECT_DOUBLE_EQ(direct.density[k], fallback.density[k]);
@@ -109,13 +126,17 @@ TEST(Welch, FallsBackToPeriodogramForShortSignal) {
 
 TEST(Welch, RejectsBadOverlap) {
   const RealVector x = white_noise(2048, 11);
-  EXPECT_THROW(welch(x, k_fs, 256, 1.0), InvalidArgument);
-  EXPECT_THROW(welch(x, k_fs, 256, -0.1), InvalidArgument);
+  Workspace ws;
+  Psd psd;
+  EXPECT_THROW(welch_into(x, k_fs, 256, ws, psd, 1.0), InvalidArgument);
+  EXPECT_THROW(welch_into(x, k_fs, 256, ws, psd, -0.1), InvalidArgument);
 }
 
 TEST(BandPower, SineFallsInItsBand) {
   // 6 Hz sine -> theta band [4, 8).
-  const Psd psd = periodogram(sine(6.0, 2.0, 2048), k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(sine(6.0, 2.0, 2048), k_fs, ws, psd);
   const Real theta = band_power(psd, bands::kTheta);
   const Real alpha = band_power(psd, bands::kAlpha);
   const Real beta = band_power(psd, bands::kBeta);
@@ -126,7 +147,9 @@ TEST(BandPower, SineFallsInItsBand) {
 
 TEST(BandPower, DisjointBandsPartitionPower) {
   const RealVector x = white_noise(8192, 12);
-  const Psd psd = periodogram(x, k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(x, k_fs, ws, psd);
   const Real total = total_power(psd);
   const Real sum = band_power(psd, {0.5, 32.0}) + band_power(psd, {32.0, 64.0}) +
                    band_power(psd, {64.0, 128.0 + psd.bin_width()});
@@ -134,19 +157,25 @@ TEST(BandPower, DisjointBandsPartitionPower) {
 }
 
 TEST(BandPower, RejectsEmptyBand) {
-  const Psd psd = periodogram(sine(6.0, 1.0, 512), k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(sine(6.0, 1.0, 512), k_fs, ws, psd);
   EXPECT_THROW(band_power(psd, {8.0, 8.0}), InvalidArgument);
   EXPECT_THROW(band_power(psd, {8.0, 4.0}), InvalidArgument);
 }
 
 TEST(RelativeBandPower, PureSineIsNearlyOne) {
-  const Psd psd = periodogram(sine(6.0, 1.0, 4096), k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(sine(6.0, 1.0, 4096), k_fs, ws, psd);
   EXPECT_GT(relative_band_power(psd, bands::kTheta), 0.95);
 }
 
 TEST(RelativeBandPower, SumsToOneAcrossPartition) {
   const RealVector x = white_noise(4096, 13);
-  const Psd psd = periodogram(x, k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(x, k_fs, ws, psd);
   const Real sum =
       relative_band_power(psd, {0.5, 30.0}) +
       relative_band_power(psd, {30.0, 128.0 + psd.bin_width()});
@@ -155,19 +184,25 @@ TEST(RelativeBandPower, SumsToOneAcrossPartition) {
 
 TEST(RelativeBandPower, ZeroSignalGivesZero) {
   const RealVector x(512, 0.0);
-  const Psd psd = periodogram(x, k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(x, k_fs, ws, psd);
   EXPECT_DOUBLE_EQ(relative_band_power(psd, bands::kTheta), 0.0);
 }
 
 TEST(SpectralEdge, PureToneEdgeAtTone) {
-  const Psd psd = periodogram(sine(20.0, 1.0, 4096), k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(sine(20.0, 1.0, 4096), k_fs, ws, psd);
   EXPECT_NEAR(spectral_edge_frequency(psd, 0.5), 20.0, 0.5);
   EXPECT_NEAR(spectral_edge_frequency(psd, 0.9), 20.0, 0.5);
 }
 
 TEST(SpectralEdge, WhiteNoiseEdgeScalesWithFraction) {
   const RealVector x = white_noise(16384, 14);
-  const Psd psd = periodogram(x, k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(x, k_fs, ws, psd);
   const Real edge50 = spectral_edge_frequency(psd, 0.5);
   const Real edge90 = spectral_edge_frequency(psd, 0.9);
   // White noise: power uniform over [0.5, 128] -> edges near 64 / 115.
@@ -177,7 +212,9 @@ TEST(SpectralEdge, WhiteNoiseEdgeScalesWithFraction) {
 }
 
 TEST(SpectralEdge, RejectsBadFraction) {
-  const Psd psd = periodogram(sine(6.0, 1.0, 512), k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(sine(6.0, 1.0, 512), k_fs, ws, psd);
   EXPECT_THROW(spectral_edge_frequency(psd, 0.0), InvalidArgument);
   EXPECT_THROW(spectral_edge_frequency(psd, 1.1), InvalidArgument);
 }
@@ -188,19 +225,27 @@ TEST(PeakFrequency, FindsDominantTone) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] += weak[i];
   }
-  const Psd psd = periodogram(x, k_fs);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(x, k_fs, ws, psd);
   EXPECT_NEAR(peak_frequency(psd), 17.0, 0.5);
 }
 
 TEST(SpectralEntropy, ToneBelowNoise) {
-  const Psd tone = periodogram(sine(10.0, 1.0, 4096), k_fs);
-  const Psd noise = periodogram(white_noise(4096, 15), k_fs);
+  Workspace ws;
+  Psd tone;
+  periodogram_into(sine(10.0, 1.0, 4096), k_fs, ws, tone);
+  Psd noise;
+  periodogram_into(white_noise(4096, 15), k_fs, ws, noise);
   EXPECT_LT(spectral_entropy(tone), 0.5 * spectral_entropy(noise));
 }
 
 TEST(SpectralEntropy, ZeroForSilentSignal) {
   const RealVector x(512, 0.0);
-  EXPECT_DOUBLE_EQ(spectral_entropy(periodogram(x, k_fs)), 0.0);
+  Workspace ws;
+  Psd psd;
+  periodogram_into(x, k_fs, ws, psd);
+  EXPECT_DOUBLE_EQ(spectral_entropy(psd), 0.0);
 }
 
 }  // namespace

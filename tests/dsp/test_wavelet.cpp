@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "dsp/workspace.hpp"
 
 namespace esl::dsp {
 namespace {
@@ -113,7 +114,9 @@ TEST(Wavelet, HaarIsDb1) {
 
 TEST(Dwt, HaarKnownValues) {
   const RealVector x = {1.0, 3.0, 2.0, 6.0};
-  const DwtLevel level = dwt_single(x, Wavelet::haar(), ExtensionMode::kPeriodic);
+  Workspace ws;
+  DwtLevel level;
+  dwt_single_into(x, Wavelet::haar(), ws, level, ExtensionMode::kPeriodic);
   const Real s = std::sqrt(2.0);
   ASSERT_EQ(level.approx.size(), 2u);
   EXPECT_NEAR(level.approx[0], 4.0 / s, 1e-12);
@@ -124,8 +127,10 @@ TEST(Dwt, HaarKnownValues) {
 
 TEST(Dwt, PeriodicPreservesEnergy) {
   const RealVector x = random_signal(256, 42);
-  const DwtLevel level =
-      dwt_single(x, Wavelet::daubechies(4), ExtensionMode::kPeriodic);
+  Workspace ws;
+  DwtLevel level;
+  dwt_single_into(x, Wavelet::daubechies(4), ws, level,
+                  ExtensionMode::kPeriodic);
   Real in = 0.0;
   for (const Real v : x) {
     in += v * v;
@@ -142,9 +147,11 @@ TEST(Dwt, PeriodicPreservesEnergy) {
 
 TEST(Dwt, ConstantSignalHasZeroDetail) {
   const RealVector x(64, 3.0);
+  Workspace ws;
+  DwtLevel level;
   for (int vm : {1, 2, 3, 4}) {
-    const DwtLevel level =
-        dwt_single(x, Wavelet::daubechies(vm), ExtensionMode::kPeriodic);
+    dwt_single_into(x, Wavelet::daubechies(vm), ws, level,
+                    ExtensionMode::kPeriodic);
     for (const Real d : level.detail) {
       EXPECT_NEAR(d, 0.0, 1e-12);
     }
@@ -154,17 +161,20 @@ TEST(Dwt, ConstantSignalHasZeroDetail) {
 TEST(Dwt, SymmetricModeCoefficientLength) {
   // pywt: len = floor((n + filter - 1) / 2).
   const RealVector x = random_signal(100, 7);
-  const DwtLevel db4 =
-      dwt_single(x, Wavelet::daubechies(4), ExtensionMode::kSymmetric);
-  EXPECT_EQ(db4.approx.size(), (100 + 8 - 1) / 2);
-  const DwtLevel haar =
-      dwt_single(x, Wavelet::haar(), ExtensionMode::kSymmetric);
-  EXPECT_EQ(haar.approx.size(), (100 + 2 - 1) / 2);
+  Workspace ws;
+  DwtLevel level;
+  dwt_single_into(x, Wavelet::daubechies(4), ws, level,
+                  ExtensionMode::kSymmetric);
+  EXPECT_EQ(level.approx.size(), (100 + 8 - 1) / 2);
+  dwt_single_into(x, Wavelet::haar(), ws, level, ExtensionMode::kSymmetric);
+  EXPECT_EQ(level.approx.size(), (100 + 2 - 1) / 2);
 }
 
 TEST(Dwt, OddLengthPeriodicPads) {
   const RealVector x = random_signal(33, 8);
-  const DwtLevel level = dwt_single(x, Wavelet::haar(), ExtensionMode::kPeriodic);
+  Workspace ws;
+  DwtLevel level;
+  dwt_single_into(x, Wavelet::haar(), ws, level, ExtensionMode::kPeriodic);
   EXPECT_EQ(level.approx.size(), 17u);
 }
 
@@ -180,7 +190,9 @@ TEST_P(ReconstructionTest, SingleLevelRoundTrip) {
     GTEST_SKIP() << "signal too short for symmetric reconstruction";
   }
   const RealVector x = random_signal(n, 100 + n);
-  const DwtLevel level = dwt_single(x, w, mode);
+  Workspace ws;
+  DwtLevel level;
+  dwt_single_into(x, w, ws, level, mode);
   const RealVector back = idwt_single(level.approx, level.detail, w, mode, n);
   EXPECT_LT(max_abs_error(back, x), 1e-10) << "vm=" << vm << " n=" << n;
 }
@@ -200,8 +212,9 @@ TEST_P(MultiLevelTest, WavedecWaverecRoundTripPeriodic) {
   const std::size_t levels = GetParam();
   const RealVector x = random_signal(512, 55);
   const Wavelet db4 = Wavelet::daubechies(4);
-  const WaveletDecomposition dec =
-      wavedec(x, db4, levels, ExtensionMode::kPeriodic);
+  Workspace ws;
+  WaveletDecomposition dec;
+  wavedec_into(x, db4, levels, ws, dec, ExtensionMode::kPeriodic);
   const RealVector back = waverec(dec, db4, ExtensionMode::kPeriodic);
   EXPECT_LT(max_abs_error(back, x), 1e-9);
 }
@@ -210,8 +223,9 @@ TEST_P(MultiLevelTest, WavedecWaverecRoundTripSymmetric) {
   const std::size_t levels = GetParam();
   const RealVector x = random_signal(512, 56);
   const Wavelet db2 = Wavelet::daubechies(2);
-  const WaveletDecomposition dec =
-      wavedec(x, db2, levels, ExtensionMode::kSymmetric);
+  Workspace ws;
+  WaveletDecomposition dec;
+  wavedec_into(x, db2, levels, ws, dec, ExtensionMode::kSymmetric);
   const RealVector back = waverec(dec, db2, ExtensionMode::kSymmetric);
   EXPECT_LT(max_abs_error(back, x), 1e-9);
 }
@@ -222,8 +236,10 @@ INSTANTIATE_TEST_SUITE_P(Levels, MultiLevelTest,
 TEST(Wavedec, PaperConfigurationShape) {
   // 4 s window at 256 Hz -> 1024 samples, db4, 7 levels, periodic mode.
   const RealVector x = random_signal(1024, 77);
-  const WaveletDecomposition dec =
-      wavedec(x, Wavelet::daubechies(4), 7, ExtensionMode::kPeriodic);
+  Workspace ws;
+  WaveletDecomposition dec;
+  wavedec_into(x, Wavelet::daubechies(4), 7, ws, dec,
+               ExtensionMode::kPeriodic);
   EXPECT_EQ(dec.levels(), 7u);
   EXPECT_EQ(dec.detail_at_level(1).size(), 512u);
   EXPECT_EQ(dec.detail_at_level(6).size(), 16u);
@@ -233,7 +249,9 @@ TEST(Wavedec, PaperConfigurationShape) {
 
 TEST(Wavedec, DetailLevelAccessorValidatesRange) {
   const RealVector x = random_signal(64, 3);
-  const WaveletDecomposition dec = wavedec(x, Wavelet::haar(), 3);
+  Workspace ws;
+  WaveletDecomposition dec;
+  wavedec_into(x, Wavelet::haar(), 3, ws, dec);
   EXPECT_THROW(dec.detail_at_level(0), InvalidArgument);
   EXPECT_THROW(dec.detail_at_level(4), InvalidArgument);
 }
@@ -258,10 +276,13 @@ TEST(Wavedec, SeparatesFrequencyBands) {
     fast[i] = std::sin(2.0 * pi * 100.0 * static_cast<Real>(i) / 256.0);
   }
   const Wavelet db4 = Wavelet::daubechies(4);
-  const RealVector slow_energy =
-      wavelet_energy_distribution(wavedec(slow, db4, 7));
-  const RealVector fast_energy =
-      wavelet_energy_distribution(wavedec(fast, db4, 7));
+  Workspace ws;
+  RealVector slow_energy;
+  RealVector fast_energy;
+  wavedec_into(slow, db4, 7, ws, ws.decomposition);
+  wavelet_energy_distribution_into(ws.decomposition, slow_energy);
+  wavedec_into(fast, db4, 7, ws, ws.decomposition);
+  wavelet_energy_distribution_into(ws.decomposition, fast_energy);
   // fast (100 Hz at fs=256) -> level 1 detail (64-128 Hz).
   EXPECT_GT(fast_energy[0], 0.8);
   // slow (2 Hz) -> levels 6/7/approx (0-4 Hz region).
@@ -270,8 +291,10 @@ TEST(Wavedec, SeparatesFrequencyBands) {
 
 TEST(WaveletEnergy, DistributionSumsToOne) {
   const RealVector x = random_signal(512, 91);
-  const RealVector energy =
-      wavelet_energy_distribution(wavedec(x, Wavelet::daubechies(4), 5));
+  Workspace ws;
+  RealVector energy;
+  wavedec_into(x, Wavelet::daubechies(4), 5, ws, ws.decomposition);
+  wavelet_energy_distribution_into(ws.decomposition, energy);
   ASSERT_EQ(energy.size(), 6u);
   Real sum = 0.0;
   for (const Real e : energy) {
@@ -289,11 +312,33 @@ TEST(Dwt, LinearityOfAnalysis) {
     combo[i] = 2.0 * a[i] - 0.5 * b[i];
   }
   const Wavelet db3 = Wavelet::daubechies(3);
-  const DwtLevel da = dwt_single(a, db3, ExtensionMode::kPeriodic);
-  const DwtLevel db = dwt_single(b, db3, ExtensionMode::kPeriodic);
-  const DwtLevel dc = dwt_single(combo, db3, ExtensionMode::kPeriodic);
+  Workspace ws;
+  DwtLevel da;
+  DwtLevel db;
+  DwtLevel dc;
+  dwt_single_into(a, db3, ws, da, ExtensionMode::kPeriodic);
+  dwt_single_into(b, db3, ws, db, ExtensionMode::kPeriodic);
+  dwt_single_into(combo, db3, ws, dc, ExtensionMode::kPeriodic);
   for (std::size_t i = 0; i < dc.detail.size(); ++i) {
     EXPECT_NEAR(dc.detail[i], 2.0 * da.detail[i] - 0.5 * db.detail[i], 1e-10);
+  }
+}
+
+TEST(Wavedec, MinLengthIsTheShortestDecomposableSignal) {
+  // The paper's 7-level periodic db4 transform needs 65 samples.
+  EXPECT_EQ(min_periodic_wavedec_length(7), 65u);
+  Workspace ws;
+  WaveletDecomposition dec;
+  for (int vm = 1; vm <= 4; ++vm) {
+    const Wavelet w = Wavelet::daubechies(vm);
+    for (std::size_t levels = 1; levels <= 7; ++levels) {
+      const std::size_t n = min_periodic_wavedec_length(levels);
+      EXPECT_NO_THROW(wavedec_into(random_signal(n, n), w, levels, ws, dec))
+          << "vm=" << vm << " levels=" << levels;
+      EXPECT_THROW(wavedec_into(random_signal(n - 1, n), w, levels, ws, dec),
+                   InvalidArgument)
+          << "vm=" << vm << " levels=" << levels;
+    }
   }
 }
 

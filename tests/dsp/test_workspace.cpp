@@ -1,15 +1,17 @@
-// Bit-parity suite for the workspace-threaded DSP overloads.
+// Bit-parity suite for the workspace-threaded DSP functions.
 //
-// The zero-allocation refactor must not change a single output bit: every
-// `*_into(..., Workspace&)` overload has to reproduce its allocating
-// counterpart exactly — across odd / even / power-of-two lengths (radix-2
+// Warm equals cold: every `*_into(..., Workspace&)` call on one
+// long-lived workspace has to reproduce the same call on a fresh
+// workspace exactly — across odd / even / power-of-two lengths (radix-2
 // vs Bluestein FFT, odd-length DWT periodization), 1–7 decomposition
-// levels, both extension modes and all taper kinds — including when one
-// long-lived workspace is reused across different geometries, which
-// exercises the chirp and taper cache invalidation.
+// levels, both extension modes and all taper kinds. Reusing the
+// workspace across geometries exercises the twiddle, chirp and taper
+// cache invalidation. Power-of-two FFTs are additionally held to the
+// scalar fft_radix2_inplace reference.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/random.hpp"
@@ -79,65 +81,94 @@ void expect_identical(const WaveletDecomposition& expected,
 constexpr std::size_t k_lengths[] = {64, 256, 1024, 768, 1000, 257, 1023};
 
 TEST(WorkspaceParity, FftMatchesAllocatingPath) {
+  using Transform = void (*)(std::span<const Complex>, Workspace&,
+                             ComplexVector&);
   Workspace ws;  // one workspace across every size: caches must invalidate
   ComplexVector out;
+  ComplexVector expected;
   for (const std::size_t n : k_lengths) {
     const ComplexVector x = complex_noise(n, n);
-    fft_into(x, ws, out);
-    expect_identical(fft(x), out, "fft");
-    ifft_into(x, ws, out);
-    expect_identical(ifft(x), out, "ifft");
+    for (const Transform transform : {&fft_into, &ifft_into}) {
+      const bool inverse = transform == &ifft_into;
+      const char* what = inverse ? "ifft" : "fft";
+      transform(x, ws, out);
+      Workspace fresh;
+      transform(x, fresh, expected);
+      expect_identical(expected, out, what);
+      if (is_power_of_two(n)) {
+        ComplexVector reference(x);
+        fft_radix2_inplace(reference, inverse);
+        expect_identical(reference, out, what);
+      }
+    }
   }
 }
 
 TEST(WorkspaceParity, RfftMatchesAllocatingPath) {
   Workspace ws;
   ComplexVector out;
+  ComplexVector expected;
   for (const std::size_t n : k_lengths) {
     const RealVector x = noise(n, n + 1);
     rfft_into(x, ws, out);
-    expect_identical(rfft(x), out, "rfft");
+    Workspace fresh;
+    rfft_into(x, fresh, expected);
+    expect_identical(expected, out, "rfft");
   }
 }
 
 TEST(WorkspaceParity, PeriodogramMatchesAllocatingPath) {
   Workspace ws;
   Psd out;
+  Psd expected;
   for (const std::size_t n : k_lengths) {
     const RealVector x = noise(n, 2 * n);
     for (const WindowKind kind :
          {WindowKind::kHann, WindowKind::kHamming, WindowKind::kBlackman,
           WindowKind::kRectangular}) {
       periodogram_into(x, 256.0, ws, out, kind);
-      expect_identical(periodogram(x, 256.0, kind), out, "periodogram");
+      Workspace fresh;
+      periodogram_into(x, 256.0, fresh, expected, kind);
+      expect_identical(expected, out, "periodogram");
     }
   }
 }
 
 TEST(WorkspaceParity, PeriodogramIntoWorkspacePsdSlot) {
+  // The result slot may be the workspace's own psd: the estimator must
+  // not read it as scratch while writing it.
   Workspace ws;
   const RealVector x = noise(1000, 5);
   periodogram_into(x, 256.0, ws, ws.psd);
-  expect_identical(periodogram(x, 256.0), ws.psd, "periodogram into slot");
+  Workspace fresh;
+  Psd expected;
+  periodogram_into(x, 256.0, fresh, expected);
+  expect_identical(expected, ws.psd, "periodogram into slot");
 }
 
 TEST(WorkspaceParity, WelchMatchesAllocatingPath) {
   Workspace ws;
   Psd out;
+  Psd expected;
   const RealVector x = noise(5000, 6);
   for (const Real overlap : {0.0, 0.25, 0.5}) {
     welch_into(x, 256.0, 1024, ws, out, overlap);
-    expect_identical(welch(x, 256.0, 1024, overlap), out, "welch");
+    Workspace fresh;
+    welch_into(x, 256.0, 1024, fresh, expected, overlap);
+    expect_identical(expected, out, "welch");
   }
   // Short-signal fallback to a single periodogram.
   const RealVector shorty = noise(512, 7);
   welch_into(shorty, 256.0, 1024, ws, out);
-  expect_identical(welch(shorty, 256.0, 1024), out, "welch fallback");
+  Workspace fresh;
+  periodogram_into(shorty, 256.0, fresh, expected);
+  expect_identical(expected, out, "welch fallback");
 }
 
 TEST(WorkspaceParity, DwtSingleMatchesAllocatingPath) {
   Workspace ws;
   DwtLevel out;
+  DwtLevel expected;
   for (const std::size_t n : {16u, 33u, 256u, 1000u, 1023u}) {
     const RealVector x = noise(n, 3 * n);
     for (int vm = 1; vm <= 4; ++vm) {
@@ -145,7 +176,8 @@ TEST(WorkspaceParity, DwtSingleMatchesAllocatingPath) {
       for (const ExtensionMode mode :
            {ExtensionMode::kPeriodic, ExtensionMode::kSymmetric}) {
         dwt_single_into(x, wavelet, ws, out, mode);
-        const DwtLevel expected = dwt_single(x, wavelet, mode);
+        Workspace fresh;
+        dwt_single_into(x, wavelet, fresh, expected, mode);
         expect_identical(expected.approx, out.approx, "dwt approx");
         expect_identical(expected.detail, out.detail, "dwt detail");
       }
@@ -155,6 +187,7 @@ TEST(WorkspaceParity, DwtSingleMatchesAllocatingPath) {
 
 TEST(WorkspaceParity, WavedecMatchesAllocatingPathAcrossLevels) {
   Workspace ws;
+  WaveletDecomposition expected;
   const Wavelet db4 = Wavelet::daubechies(4);
   for (const std::size_t n : {256u, 768u, 1000u, 1023u, 1024u}) {
     const RealVector x = noise(n, 4 * n);
@@ -164,8 +197,9 @@ TEST(WorkspaceParity, WavedecMatchesAllocatingPathAcrossLevels) {
         // Reuse one decomposition across level counts: shrinking and
         // growing the per-level buffers must not leave stale state.
         wavedec_into(x, db4, levels, ws, ws.decomposition, mode);
-        expect_identical(wavedec(x, db4, levels, mode), ws.decomposition,
-                         "wavedec");
+        Workspace fresh;
+        wavedec_into(x, db4, levels, fresh, expected, mode);
+        expect_identical(expected, ws.decomposition, "wavedec");
       }
     }
   }
@@ -173,36 +207,43 @@ TEST(WorkspaceParity, WavedecMatchesAllocatingPathAcrossLevels) {
 
 TEST(WorkspaceParity, WaveletEnergyDistributionIntoMatches) {
   const RealVector x = noise(1024, 9);
-  const Wavelet db4 = Wavelet::daubechies(4);
-  const WaveletDecomposition dec = wavedec(x, db4, 7);
+  Workspace ws;
+  wavedec_into(x, Wavelet::daubechies(4), 7, ws, ws.decomposition);
+  RealVector expected;
+  wavelet_energy_distribution_into(ws.decomposition, expected);
   RealVector out = {1.0, 2.0, 3.0};  // stale contents must be discarded
-  wavelet_energy_distribution_into(dec, out);
-  expect_identical(wavelet_energy_distribution(dec), out, "energy");
+  wavelet_energy_distribution_into(ws.decomposition, out);
+  expect_identical(expected, out, "energy");
 }
 
 TEST(WorkspaceParity, InterleavedReuseKeepsParity) {
   // A long-lived per-session workspace sees many geometries; interleave
-  // transforms of different sizes/kinds and re-verify against the
-  // allocating path each time (catches any cache keyed on stale state).
+  // transforms of different sizes/kinds and re-verify against a fresh
+  // workspace each time (catches any cache keyed on stale state).
   Workspace ws;
   Psd psd;
   ComplexVector spec;
+  Psd expected_psd;
+  ComplexVector expected_spec;
+  WaveletDecomposition expected_dec;
   const Wavelet db4 = Wavelet::daubechies(4);
   for (int round = 0; round < 3; ++round) {
     for (const std::size_t n : {1024u, 1000u, 257u}) {
       const RealVector x = noise(n, 17 * n + static_cast<std::size_t>(round));
-      periodogram_into(x, 256.0, ws, psd,
-                       round % 2 == 0 ? WindowKind::kHann
-                                      : WindowKind::kHamming);
-      expect_identical(periodogram(x, 256.0,
-                                   round % 2 == 0 ? WindowKind::kHann
-                                                  : WindowKind::kHamming),
-                       psd, "interleaved periodogram");
+      const WindowKind kind =
+          round % 2 == 0 ? WindowKind::kHann : WindowKind::kHamming;
+      periodogram_into(x, 256.0, ws, psd, kind);
+      Workspace fresh_psd;
+      periodogram_into(x, 256.0, fresh_psd, expected_psd, kind);
+      expect_identical(expected_psd, psd, "interleaved periodogram");
       rfft_into(x, ws, spec);
-      expect_identical(rfft(x), spec, "interleaved rfft");
+      Workspace fresh_spec;
+      rfft_into(x, fresh_spec, expected_spec);
+      expect_identical(expected_spec, spec, "interleaved rfft");
       wavedec_into(x, db4, 5, ws, ws.decomposition);
-      expect_identical(wavedec(x, db4, 5), ws.decomposition,
-                       "interleaved wavedec");
+      Workspace fresh_dec;
+      wavedec_into(x, db4, 5, fresh_dec, expected_dec);
+      expect_identical(expected_dec, ws.decomposition, "interleaved wavedec");
     }
   }
 }

@@ -269,6 +269,27 @@ TEST_F(ServiceTest, CreateSessionValidatesConfigUpFront) {
   EXPECT_EQ(service.session_count(), 0u);
 }
 
+TEST_F(ServiceTest, WindowShorterThanTheExtractorMinimumIsRejectedAtCreate) {
+  // The e-Glass extractor's 7-level periodic db4 decomposition needs 65
+  // samples per window. A shorter geometry must be rejected here, not
+  // throw on its first window inside the shard worker, where it would
+  // drop the other sessions' chunks in that batch.
+  DetectionService service(*fleet_, {},
+                           std::make_unique<ThreadPoolBackend>());
+  SessionConfig too_short;
+  too_short.sample_rate_hz = 16.0;  // 4 s -> 64 samples
+  EXPECT_THROW(service.create_session(too_short), InvalidArgument);
+  EXPECT_EQ(service.session_count(), 0u);
+
+  SessionConfig shortest;
+  shortest.sample_rate_hz = 16.25;  // 4 s -> 65 samples
+  const SessionHandle handle = service.create_session(shortest);
+  // 60 s at 16.25 Hz: 975 samples -> (975 - 65) / 16 + 1 = 57 windows.
+  service.ingest(handle, chunk_views(*background_record_, 0, 975));
+  service.flush();
+  EXPECT_EQ(service.stats().windows_classified, 57u);
+}
+
 TEST_F(ServiceTest, FailedBackendMirrorRollsTheSessionBack) {
   // A backend whose on_session_created throws models a remote mirror
   // rejecting the open: the create must fail with no local-only session
@@ -659,14 +680,22 @@ TEST_F(ServiceTest, FlushCompletesWhileProducersKeepStreaming) {
   const std::size_t samples = stream_samples(*background_record_);
 
   std::atomic<bool> stop_producing{false};
+  std::atomic<std::size_t> chunks_ingested{0};
   std::thread producer([&] {
     std::size_t offset = 0;
-    while (!stop_producing.load()) {
+    do {
       service.ingest(handle,
                      chunk_views(*background_record_, offset, k_chunk));
+      chunks_ingested.fetch_add(1);
       offset = (offset + k_chunk) % (samples - k_chunk);
-    }
+    } while (!stop_producing.load());
   });
+  // Flush only once the producer is live (one 1600-sample chunk already
+  // completes a window), so the barrier really races a streaming
+  // producer however late its thread gets scheduled.
+  while (chunks_ingested.load() == 0) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < 25; ++i) {
     service.flush();  // would deadlock (-> ctest timeout) if the barrier
                       // required a momentarily-empty queue

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "dsp/workspace.hpp"
 #include "features/extractor.hpp"
 #include "sim/cohort.hpp"
 
@@ -55,7 +56,9 @@ TEST(EglassFeatures, AllValuesFinite) {
 TEST(EglassFeatures, ConstantWindowIsDegenerateButFinite) {
   const EglassFeatureExtractor extractor(1);
   const RealVector constant(1024, 5.0);
-  const RealVector out = extractor.extract({constant}, 256.0);
+  dsp::Workspace ws;
+  RealVector out;
+  extractor.extract_into({constant}, 256.0, out, ws);
   ASSERT_EQ(out.size(), 54u);
   for (const Real v : out) {
     EXPECT_TRUE(std::isfinite(v));
@@ -79,9 +82,12 @@ TEST(EglassFeatures, SeizureChangesManyFeatures) {
         std::span<const Real>(samples0).subspan(s, 1024),
         std::span<const Real>(samples1).subspan(s, 1024)};
   };
-  const RealVector ictal = extractor.extract(window_at(seizure.midpoint()), 256.0);
-  const RealVector background =
-      extractor.extract(window_at(seizure.onset - 120.0), 256.0);
+  dsp::Workspace ws;
+  RealVector ictal;
+  RealVector background;
+  extractor.extract_into(window_at(seizure.midpoint()), 256.0, ictal, ws);
+  extractor.extract_into(window_at(seizure.onset - 120.0), 256.0, background,
+                         ws);
   std::size_t changed = 0;
   for (std::size_t f = 0; f < ictal.size(); ++f) {
     const Real denom = std::max({std::abs(background[f]), std::abs(ictal[f]), 1e-12});
@@ -96,13 +102,34 @@ TEST(EglassFeatures, SeizureChangesManyFeatures) {
 TEST(EglassFeatures, RejectsTooFewChannels) {
   const EglassFeatureExtractor extractor(2);
   const RealVector window(1024, 0.0);
-  EXPECT_THROW(extractor.extract({window}, 256.0), InvalidArgument);
+  dsp::Workspace ws;
+  RealVector out;
+  EXPECT_THROW(extractor.extract_into({window}, 256.0, out, ws),
+               InvalidArgument);
 }
 
 TEST(EglassFeatures, RejectsTinyWindows) {
+  // The 7-level periodic db4 decomposition needs 65 samples, and the
+  // extractor's own check says so before the decomposition runs.
   const EglassFeatureExtractor extractor(1);
-  const RealVector window(8, 0.0);
-  EXPECT_THROW(extractor.extract({window}, 256.0), InvalidArgument);
+  EXPECT_EQ(extractor.min_window_length(), 65u);
+  dsp::Workspace ws;
+  RealVector out;
+  for (const std::size_t length : {8u, 64u}) {
+    const RealVector window(length, 0.0);
+    EXPECT_THROW(extractor.extract_into({window}, 256.0, out, ws),
+                 InvalidArgument)
+        << length << " samples";
+  }
+  RealVector shortest(65);
+  for (std::size_t i = 0; i < shortest.size(); ++i) {
+    shortest[i] = std::sin(0.3 * static_cast<Real>(i));
+  }
+  extractor.extract_into({shortest}, 16.25, out, ws);
+  ASSERT_EQ(out.size(), 54u);
+  for (const Real v : out) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
 }
 
 TEST(EglassFeatures, RejectsZeroChannels) {

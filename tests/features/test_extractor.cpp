@@ -16,9 +16,10 @@ class ProbeExtractor final : public WindowFeatureExtractor {
     return {"mean0", "rms1"};
   }
   std::size_t required_channels() const override { return 2; }
-  RealVector extract(const std::vector<std::span<const Real>>& channels,
-                     Real /*sample_rate_hz*/) const override {
-    return {stats::mean(channels[0]), stats::rms(channels[1])};
+  void extract_into(const std::vector<std::span<const Real>>& channels,
+                    Real /*sample_rate_hz*/, RealVector& out,
+                    dsp::Workspace& /*workspace*/) const override {
+    out = {stats::mean(channels[0]), stats::rms(channels[1])};
   }
 };
 

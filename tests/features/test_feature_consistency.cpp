@@ -7,6 +7,7 @@
 #include "common/random.hpp"
 #include "dsp/spectrum.hpp"
 #include "dsp/wavelet.hpp"
+#include "dsp/workspace.hpp"
 #include "entropy/entropy.hpp"
 #include "entropy/permutation_entropy.hpp"
 #include "entropy/sample_entropy.hpp"
@@ -31,10 +32,15 @@ TEST_P(ConsistencySeedTest, SpectralFeaturesMatchDirectDspCalls) {
   const RealVector left = random_window(GetParam());
   const RealVector right = random_window(GetParam() + 1000);
   const PaperFeatureExtractor extractor;
-  const RealVector features = extractor.extract({left, right}, 256.0);
+  dsp::Workspace ws;
+  RealVector features;
+  extractor.extract_into({left, right}, 256.0, features, ws);
 
-  const dsp::Psd psd_left = dsp::periodogram(left, 256.0);
-  const dsp::Psd psd_right = dsp::periodogram(right, 256.0);
+  dsp::Workspace direct;
+  dsp::Psd psd_left;
+  dsp::Psd psd_right;
+  dsp::periodogram_into(left, 256.0, direct, psd_left);
+  dsp::periodogram_into(right, 256.0, direct, psd_right);
   EXPECT_DOUBLE_EQ(features[0], dsp::band_power(psd_left, dsp::bands::kTheta));
   EXPECT_DOUBLE_EQ(features[1],
                    dsp::relative_band_power(psd_left, dsp::bands::kTheta));
@@ -47,10 +53,14 @@ TEST_P(ConsistencySeedTest, NonlinearFeaturesMatchDirectEntropyCalls) {
   const RealVector left = random_window(GetParam());
   const RealVector right = random_window(GetParam() + 2000);
   const PaperFeatureExtractor extractor;
-  const RealVector features = extractor.extract({left, right}, 256.0);
+  dsp::Workspace ws;
+  RealVector features;
+  extractor.extract_into({left, right}, 256.0, features, ws);
 
-  const dsp::WaveletDecomposition dec = dsp::wavedec(
-      right, dsp::Wavelet::daubechies(4), 7, dsp::ExtensionMode::kPeriodic);
+  dsp::Workspace direct;
+  dsp::WaveletDecomposition dec;
+  dsp::wavedec_into(right, dsp::Wavelet::daubechies(4), 7, direct, dec,
+                    dsp::ExtensionMode::kPeriodic);
   EXPECT_DOUBLE_EQ(features[4],
                    entropy::permutation_entropy(dec.detail_at_level(7), 5));
   EXPECT_DOUBLE_EQ(features[5],
@@ -70,9 +80,13 @@ TEST_P(ConsistencySeedTest, NonlinearFeaturesMatchDirectEntropyCalls) {
 TEST_P(ConsistencySeedTest, EglassSpectralBlockMatchesDsp) {
   const RealVector window = random_window(GetParam() + 3000);
   const EglassFeatureExtractor extractor(1);
-  const RealVector features = extractor.extract({window}, 256.0);
+  dsp::Workspace ws;
+  RealVector features;
+  extractor.extract_into({window}, 256.0, features, ws);
 
-  const dsp::Psd psd = dsp::periodogram(window, 256.0);
+  dsp::Workspace direct;
+  dsp::Psd psd;
+  dsp::periodogram_into(window, 256.0, direct, psd);
   // Spectral block starts after the 12 time-domain features.
   EXPECT_DOUBLE_EQ(features[12], dsp::total_power(psd));
   EXPECT_DOUBLE_EQ(features[13], dsp::band_power(psd, dsp::bands::kDelta));
@@ -85,11 +99,16 @@ TEST_P(ConsistencySeedTest, EglassSpectralBlockMatchesDsp) {
 TEST_P(ConsistencySeedTest, EglassWaveletEnergiesMatchDistribution) {
   const RealVector window = random_window(GetParam() + 4000);
   const EglassFeatureExtractor extractor(1);
-  const RealVector features = extractor.extract({window}, 256.0);
+  dsp::Workspace ws;
+  RealVector features;
+  extractor.extract_into({window}, 256.0, features, ws);
 
-  const dsp::WaveletDecomposition dec = dsp::wavedec(
-      window, dsp::Wavelet::daubechies(4), 7, dsp::ExtensionMode::kPeriodic);
-  const RealVector energy = dsp::wavelet_energy_distribution(dec);
+  dsp::Workspace direct;
+  dsp::WaveletDecomposition dec;
+  dsp::wavedec_into(window, dsp::Wavelet::daubechies(4), 7, direct, dec,
+                    dsp::ExtensionMode::kPeriodic);
+  RealVector energy;
+  dsp::wavelet_energy_distribution_into(dec, energy);
   // DWT block: 26 + (level-1)*4, third entry = energy fraction.
   for (std::size_t level = 1; level <= 7; ++level) {
     EXPECT_DOUBLE_EQ(features[26 + (level - 1) * 4 + 2], energy[level - 1])

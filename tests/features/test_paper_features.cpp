@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
+#include "dsp/workspace.hpp"
 #include "features/extractor.hpp"
 #include "features/normalize.hpp"
 #include "sim/cohort.hpp"
@@ -29,7 +30,9 @@ TEST(PaperFeatures, OutputWidthIsTen) {
   for (std::size_t i = 0; i < window.size(); ++i) {
     window[i] = std::sin(0.1 * static_cast<Real>(i));
   }
-  const RealVector out = extractor.extract({window, window}, 256.0);
+  dsp::Workspace ws;
+  RealVector out;
+  extractor.extract_into({window, window}, 256.0, out, ws);
   EXPECT_EQ(out.size(), 10u);
 }
 
@@ -54,7 +57,9 @@ TEST(PaperFeatures, ThetaToneMaximizesThetaFeatures) {
         50.0 * std::sin(2.0 * 3.14159265358979 * 6.0 * static_cast<Real>(i) / 256.0);
   }
   const PaperFeatureExtractor extractor;
-  const RealVector features = extractor.extract({tone, tone}, 256.0);
+  dsp::Workspace ws;
+  RealVector features;
+  extractor.extract_into({tone, tone}, 256.0, features, ws);
   EXPECT_GT(features[0], 100.0);  // absolute theta power of a 50 uV tone
   EXPECT_GT(features[1], 0.9);    // relative theta
   EXPECT_GT(features[3], 0.9);
@@ -112,7 +117,10 @@ TEST(PaperFeatures, RejectsMismatchedWindows) {
   const PaperFeatureExtractor extractor;
   RealVector a(1024, 0.0);
   RealVector b(512, 0.0);
-  EXPECT_THROW(extractor.extract({a, b}, 256.0), InvalidArgument);
+  dsp::Workspace ws;
+  RealVector out;
+  EXPECT_THROW(extractor.extract_into({a, b}, 256.0, out, ws),
+               InvalidArgument);
 }
 
 TEST(PaperFeatures, DeterministicForSameInput) {

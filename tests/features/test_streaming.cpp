@@ -24,6 +24,18 @@ std::vector<std::span<const Real>> record_views(
   return views;
 }
 
+/// Collects every emitted row (the sink owns copies; `row` spans are only
+/// valid during on_window).
+class RowCollector final : public WindowSink {
+ public:
+  void on_window(std::size_t /*index*/, Seconds /*start_s*/,
+                 std::span<const Real> row) override {
+    rows.emplace_back(row.begin(), row.end());
+  }
+
+  std::vector<RealVector> rows;
+};
+
 TEST(Streaming, MatchesBatchExtractionExactly) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
@@ -31,7 +43,7 @@ TEST(Streaming, MatchesBatchExtractionExactly) {
 
   StreamingExtractor streaming(extractor, record.sample_rate_hz());
   // Feed in odd-sized chunks to stress the buffering.
-  std::vector<RealVector> rows;
+  RowCollector sink;
   std::size_t position = 0;
   const std::size_t total = record.length_samples();
   const std::size_t chunk_sizes[] = {1, 7, 250, 1024, 999, 3000};
@@ -40,11 +52,10 @@ TEST(Streaming, MatchesBatchExtractionExactly) {
     const std::size_t chunk =
         std::min(chunk_sizes[chunk_index % 6], total - position);
     ++chunk_index;
-    for (auto& row : streaming.push(record_views(record, position, chunk))) {
-      rows.push_back(std::move(row));
-    }
+    streaming.push(record_views(record, position, chunk), sink);
     position += chunk;
   }
+  const std::vector<RealVector>& rows = sink.rows;
 
   ASSERT_EQ(rows.size(), batch.count());
   for (std::size_t w = 0; w < rows.size(); ++w) {
@@ -60,8 +71,9 @@ TEST(Streaming, EmitsNothingBeforeFirstFullWindow) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
   StreamingExtractor streaming(extractor, 256.0);
-  const auto rows = streaming.push(record_views(record, 0, 1023));
-  EXPECT_TRUE(rows.empty());
+  RowCollector sink;
+  EXPECT_EQ(streaming.push(record_views(record, 0, 1023), sink), 0u);
+  EXPECT_TRUE(sink.rows.empty());
   EXPECT_EQ(streaming.emitted(), 0u);
   EXPECT_EQ(streaming.buffered(), 1023u);
 }
@@ -70,9 +82,10 @@ TEST(Streaming, OneSampleCompletesTheWindow) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
   StreamingExtractor streaming(extractor, 256.0);
-  streaming.push(record_views(record, 0, 1023));
-  const auto rows = streaming.push(record_views(record, 1023, 1));
-  EXPECT_EQ(rows.size(), 1u);
+  RowCollector sink;
+  streaming.push(record_views(record, 0, 1023), sink);
+  EXPECT_EQ(streaming.push(record_views(record, 1023, 1), sink), 1u);
+  EXPECT_EQ(sink.rows.size(), 1u);
   EXPECT_EQ(streaming.emitted(), 1u);
 }
 
@@ -80,10 +93,12 @@ TEST(Streaming, LargeBlockEmitsManyWindows) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
   StreamingExtractor streaming(extractor, 256.0);
-  const auto rows =
-      streaming.push(record_views(record, 0, record.length_samples()));
+  RowCollector sink;
+  const std::size_t emitted =
+      streaming.push(record_views(record, 0, record.length_samples()), sink);
   // 20 s -> 17 windows at 4 s / 1 s hop.
-  EXPECT_EQ(rows.size(), 17u);
+  EXPECT_EQ(emitted, 17u);
+  EXPECT_EQ(sink.rows.size(), 17u);
 }
 
 TEST(Streaming, GeometryAccessors) {
@@ -103,15 +118,16 @@ TEST(Streaming, PushValidatesChannelBlocks) {
   const signal::EegRecord record = short_record();
   const PaperFeatureExtractor extractor;
   StreamingExtractor streaming(extractor, 256.0);
+  RowCollector sink;
   // Too few channels.
   std::vector<std::span<const Real>> one = {
       std::span<const Real>(record.channel(0).samples).subspan(0, 100)};
-  EXPECT_THROW(streaming.push(one), InvalidArgument);
+  EXPECT_THROW(streaming.push(one, sink), InvalidArgument);
   // Mismatched lengths.
   std::vector<std::span<const Real>> uneven = {
       std::span<const Real>(record.channel(0).samples).subspan(0, 100),
       std::span<const Real>(record.channel(1).samples).subspan(0, 99)};
-  EXPECT_THROW(streaming.push(uneven), InvalidArgument);
+  EXPECT_THROW(streaming.push(uneven, sink), InvalidArgument);
 }
 
 TEST(Streaming, ConstructorValidation) {
@@ -120,6 +136,11 @@ TEST(Streaming, ConstructorValidation) {
   EXPECT_THROW(StreamingExtractor(extractor, 256.0, -1.0), InvalidArgument);
   EXPECT_THROW(StreamingExtractor(extractor, 256.0, 4.0, 1.0),
                InvalidArgument);
+  // Shorter than the extractor's minimum window: 4 s at 16 Hz is 64
+  // samples, one short of the 7-level periodic DWT's 65 (16.25 Hz).
+  ASSERT_EQ(extractor.min_window_length(), 65u);
+  EXPECT_THROW(StreamingExtractor(extractor, 16.0), InvalidArgument);
+  EXPECT_EQ(StreamingExtractor(extractor, 16.25).window_length(), 65u);
 }
 
 }  // namespace

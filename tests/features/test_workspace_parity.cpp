@@ -1,11 +1,12 @@
 // Bit-parity of the workspace-threaded feature extraction seam.
 //
-// extract_into(..., Workspace&) must reproduce the allocating extract()
-// exactly — per window, across window lengths that exercise both FFT
-// code paths and the odd-length DWT periodization, and when one
-// long-lived workspace is reused across windows and geometries (the
-// per-session pattern the streaming engine uses). Also covers the
-// scratch-aware stats / entropy overloads the extractors are built on.
+// Warm equals cold: extract_into on one long-lived workspace (the
+// per-session pattern the streaming engine uses) must reproduce the same
+// call on a fresh workspace exactly — per window, across window lengths
+// that exercise both FFT code paths and the odd-length DWT
+// periodization, and as the workspace moves between geometries. Also
+// covers the scratch-aware stats / entropy overloads the extractors are
+// built on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,14 +46,16 @@ TEST(WorkspaceParity, EglassExtractIntoMatchesExtract) {
   const EglassFeatureExtractor extractor(2);
   dsp::Workspace workspace;  // reused across lengths and windows
   RealVector row;
+  RealVector expected;
   for (const std::size_t length : {256u, 768u, 1000u, 1024u}) {
     for (int w = 0; w < 3; ++w) {
       const RealVector a = noise(length, 100 * length + 2 * w);
       const RealVector b = noise(length, 100 * length + 2 * w + 1);
       const std::vector<std::span<const Real>> window = {a, b};
       extractor.extract_into(window, 256.0, row, workspace);
-      expect_identical(extractor.extract(window, 256.0), row,
-                       "e-Glass row");
+      dsp::Workspace fresh;
+      extractor.extract_into(window, 256.0, expected, fresh);
+      expect_identical(expected, row, "e-Glass row");
     }
   }
 }
@@ -61,38 +64,18 @@ TEST(WorkspaceParity, PaperExtractIntoMatchesExtract) {
   const PaperFeatureExtractor extractor;
   dsp::Workspace workspace;
   RealVector row;
+  RealVector expected;
   for (const std::size_t length : {512u, 1000u, 1024u}) {
     for (int w = 0; w < 3; ++w) {
       const RealVector a = noise(length, 200 * length + 2 * w);
       const RealVector b = noise(length, 200 * length + 2 * w + 1);
       const std::vector<std::span<const Real>> window = {a, b};
       extractor.extract_into(window, 256.0, row, workspace);
-      expect_identical(extractor.extract(window, 256.0), row, "paper row");
+      dsp::Workspace fresh;
+      extractor.extract_into(window, 256.0, expected, fresh);
+      expect_identical(expected, row, "paper row");
     }
   }
-}
-
-TEST(WorkspaceParity, DefaultSeamIgnoresWorkspace) {
-  // An extractor without a zero-alloc override must still work behind the
-  // workspace seam (the base class delegates to the 3-argument overload).
-  class MeanOnly final : public WindowFeatureExtractor {
-   public:
-    std::vector<std::string> feature_names() const override {
-      return {"mean"};
-    }
-    std::size_t required_channels() const override { return 1; }
-    RealVector extract(const std::vector<std::span<const Real>>& channels,
-                       Real) const override {
-      return {stats::mean(channels[0])};
-    }
-  };
-  const MeanOnly extractor;
-  const RealVector x = noise(64, 3);
-  const std::vector<std::span<const Real>> window = {x};
-  dsp::Workspace workspace;
-  RealVector row;
-  extractor.extract_into(window, 256.0, row, workspace);
-  expect_identical(extractor.extract(window, 256.0), row, "default seam");
 }
 
 TEST(WorkspaceParity, QuantileFromSortedMatchesQuantile) {

@@ -349,6 +349,31 @@ TEST_F(NetLoopback, ServerErrorsComeBackTypedAndTheConnectionSurvives) {
   server->stop();
 }
 
+TEST_F(NetLoopback, ShortWindowIsRejectedWhenTheSessionOpens) {
+  // A raw client can ask for any geometry: a window shorter than the
+  // extractor's 65-sample minimum must come back as an error frame at
+  // open time, not throw later inside the threaded shard worker.
+  const platform::SocketAddress address = loopback_address();
+  auto server = make_server(address, 1, true);
+
+  ShardClient client;
+  client.connect(address);
+  engine::SessionConfig too_short;
+  too_short.sample_rate_hz = 16.0;  // 4 s -> 64 samples
+  EXPECT_THROW(client.open_session(1, 0, too_short), InvalidArgument);
+
+  engine::SessionConfig shortest;
+  shortest.sample_rate_hz = 16.25;  // 4 s -> 65 samples
+  ASSERT_NO_THROW(client.open_session(2, 0, shortest));
+  // 60 s at 16.25 Hz: 975 samples -> (975 - 65) / 16 + 1 = 57 windows.
+  client.ingest(2, chunk_views(*background_record_, 0, 975));
+  std::vector<Detection> out;
+  client.flush(out);
+  EXPECT_EQ(out.size(), 57u);
+  client.close();
+  server->stop();
+}
+
 TEST_F(NetLoopback, GarbageBytesPoisonOnlyTheirOwnConnection) {
   const platform::SocketAddress address = loopback_address();
   auto server = make_server(address, 1, false);

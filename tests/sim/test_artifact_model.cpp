@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/statistics.hpp"
 #include "dsp/spectrum.hpp"
+#include "dsp/workspace.hpp"
 
 namespace esl::sim {
 namespace {
@@ -38,7 +39,9 @@ TEST(MotionArtifact, EnergyIsLowFrequency) {
   params.duration_s = 50.0;
   add_motion_artifact(channel, 0, params, Rng(3));
   const auto window = std::span<const Real>(channel).subspan(256 * 10, 8192);
-  const dsp::Psd psd = dsp::periodogram(window, 256.0);
+  dsp::Workspace ws;
+  dsp::Psd psd;
+  dsp::periodogram_into(window, 256.0, ws, psd);
   EXPECT_GT(dsp::band_power(psd, {0.3, 4.0}),
             10.0 * dsp::band_power(psd, {8.0, 30.0}));
 }
@@ -56,7 +59,9 @@ TEST(MuscleArtifact, EnergyIsHighFrequency) {
   params.duration_s = 10.0;
   add_muscle_artifact(channel, 0, params, Rng(5));
   const auto window = std::span<const Real>(channel).subspan(256 * 2, 1024);
-  const dsp::Psd psd = dsp::periodogram(window, 256.0);
+  dsp::Workspace ws;
+  dsp::Psd psd;
+  dsp::periodogram_into(window, 256.0, ws, psd);
   EXPECT_GT(dsp::band_power(psd, {20.0, 70.0}),
             5.0 * dsp::band_power(psd, {0.5, 10.0}));
 }

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/statistics.hpp"
 #include "dsp/spectrum.hpp"
+#include "dsp/workspace.hpp"
 
 namespace esl::sim {
 namespace {
@@ -150,10 +151,12 @@ TEST(Cohort, SeizureWindowsHaveElevatedThetaPower) {
     return std::span<const Real>(samples).subspan(start, 1024);
   };
   // Mid-seizure window vs a background window far away.
-  const dsp::Psd ictal =
-      dsp::periodogram(window_of(seizure.midpoint()), 256.0);
-  const dsp::Psd background =
-      dsp::periodogram(window_of(seizure.onset - 120.0), 256.0);
+  dsp::Workspace ws;
+  dsp::Psd ictal;
+  dsp::periodogram_into(window_of(seizure.midpoint()), 256.0, ws, ictal);
+  dsp::Psd background;
+  dsp::periodogram_into(window_of(seizure.onset - 120.0), 256.0, ws,
+                        background);
   EXPECT_GT(dsp::band_power(ictal, dsp::bands::kTheta) +
                 dsp::band_power(ictal, dsp::bands::kDelta),
             5.0 * (dsp::band_power(background, dsp::bands::kTheta) +

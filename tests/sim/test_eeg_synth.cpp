@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/statistics.hpp"
 #include "dsp/spectrum.hpp"
+#include "dsp/workspace.hpp"
 
 namespace esl::sim {
 namespace {
@@ -29,7 +30,9 @@ TEST(PinkNoise, SpectrumFallsWithFrequency) {
   for (auto& v : x) {
     v = pink.next();
   }
-  const dsp::Psd psd = dsp::welch(x, 256.0, 4096);
+  dsp::Workspace ws;
+  dsp::Psd psd;
+  dsp::welch_into(x, 256.0, 4096, ws, psd);
   // 1/f: average density in [1,4] Hz should clearly exceed [40,100] Hz.
   const Real low = dsp::band_power(psd, {1.0, 4.0}) / 3.0;
   const Real high = dsp::band_power(psd, {40.0, 100.0}) / 60.0;
@@ -76,7 +79,9 @@ TEST(Background, AlphaBumpPresent) {
   params.alpha_rms_uv = 25.0;  // exaggerate for a clear bump
   params.pink_rms_uv = 10.0;
   const RealVector x = synthesize_background(params, 131072, Rng(7));
-  const dsp::Psd psd = dsp::welch(x, params.sample_rate_hz, 4096);
+  dsp::Workspace ws;
+  dsp::Psd psd;
+  dsp::welch_into(x, params.sample_rate_hz, 4096, ws, psd);
   const Real alpha_density = dsp::band_power(psd, dsp::bands::kAlpha) / 5.0;
   const Real beta_density = dsp::band_power(psd, {16.0, 30.0}) / 14.0;
   EXPECT_GT(alpha_density, 3.0 * beta_density);

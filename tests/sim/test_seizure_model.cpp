@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/statistics.hpp"
 #include "dsp/spectrum.hpp"
+#include "dsp/workspace.hpp"
 
 namespace esl::sim {
 namespace {
@@ -60,10 +61,13 @@ TEST(IctalDischarge, FrequencyChirpsDownward) {
   params.harmonic_fraction = 0.0;
   add_ictal_discharge(channel, 256 * 5, params, 1.0, Rng(4));
 
+  dsp::Workspace ws;
+  dsp::Psd psd;
   const auto peak_hz = [&](Seconds t) {
     const auto window =
         std::span<const Real>(channel).subspan(static_cast<std::size_t>(t * 256), 2048);
-    return dsp::peak_frequency(dsp::periodogram(window, 256.0));
+    dsp::periodogram_into(window, 256.0, ws, psd);
+    return dsp::peak_frequency(psd);
   };
   const Real early = peak_hz(10.0);  // near onset
   const Real late = peak_hz(55.0);   // near offset
@@ -78,7 +82,9 @@ TEST(IctalDischarge, EnergyConcentratesInThetaDelta) {
   params.duration_s = 50.0;
   add_ictal_discharge(channel, 0, params, 1.0, Rng(5));
   const auto window = std::span<const Real>(channel).subspan(256 * 20, 4096);
-  const dsp::Psd psd = dsp::periodogram(window, 256.0);
+  dsp::Workspace ws;
+  dsp::Psd psd;
+  dsp::periodogram_into(window, 256.0, ws, psd);
   const Real slow = dsp::band_power(psd, dsp::bands::kDelta) +
                     dsp::band_power(psd, dsp::bands::kTheta);
   EXPECT_GT(slow / dsp::total_power(psd), 0.6);
@@ -144,7 +150,9 @@ TEST(Postictal, DominatedBySlowActivity) {
   params.slow_hz = 1.5;
   add_postictal_slowing(channel, 0, params, 1.0, Rng(10));
   const auto window = std::span<const Real>(channel).subspan(0, 4096);
-  const dsp::Psd psd = dsp::periodogram(window, 256.0);
+  dsp::Workspace ws;
+  dsp::Psd psd;
+  dsp::periodogram_into(window, 256.0, ws, psd);
   EXPECT_GT(dsp::relative_band_power(psd, dsp::bands::kDelta), 0.5);
 }
 

@@ -28,6 +28,13 @@ Checks (all scoped to src/):
    ingest ring) documents its ordering contract in place and is
    exercised under TSan instead.
 
+4. one-spelling-per-transform — a header in src/dsp or src/features
+   that declares `name_into(` must not also declare `name(`. The
+   workspace `_into` form is the only way to compute a window: a second,
+   allocating spelling beside it is a parallel implementation that only
+   tests and benches end up calling. Tests call the `_into` form with a
+   local dsp::Workspace.
+
 Exit status 0 when clean; 1 with file:line diagnostics otherwise.
 Run from anywhere: paths resolve relative to the repo root (parent of
 this script's directory). CI runs this alongside clang-tidy.
@@ -43,6 +50,7 @@ SRC = REPO_ROOT / "src"
 
 HOT_CONTRACT_DIRS = ("dsp", "ml", "engine", "net")
 HOT_LOOP_DIRS = ("dsp", "ml")
+ONE_SPELLING_DIRS = ("dsp", "features")
 
 ALLOW_STRING = re.compile(r"//\s*lint:\s*allow-string\(")
 CONTRACT_CALL = re.compile(r"\b(expects|ensures)\s*\(")
@@ -50,6 +58,10 @@ STRING_BUILD = re.compile(
     r"std::to_string\s*\(|std::string\s*[({]|\bstd::string\s+\w+\s*[=;({]"
 )
 LOOP_HEAD = re.compile(r"\b(for|while)\s*\(")
+# A function declaration: a return type (possibly qualified/templated,
+# with pointer/reference) followed by the declared name and its paren.
+DECLARATION = re.compile(r"[\w:>]\s*[*&]?\s+[*&]?(\w+)\s*\(")
+NOT_A_RETURN_TYPE = {"return", "else", "new", "throw", "co_return", "delete"}
 NAKED_LOCK = re.compile(
     r"\bstd::(mutex|condition_variable|lock_guard|unique_lock|scoped_lock"
     r"|recursive_mutex|shared_mutex|timed_mutex"
@@ -197,11 +209,42 @@ def check_lock_discipline(violations: list[str]) -> None:
                 )
 
 
+def declared_functions(path: Path) -> dict[str, int]:
+    """Names of functions the header declares, with their first line."""
+    declared: dict[str, int] = {}
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        stripped = strip_comments_and_strings(line)
+        for match in DECLARATION.finditer(stripped):
+            prefix = stripped[: match.start(1)].split()
+            if prefix and prefix[-1].lstrip("*&") in NOT_A_RETURN_TYPE:
+                continue
+            declared.setdefault(match.group(1), lineno)
+    return declared
+
+
+def check_one_spelling_per_transform(violations: list[str]) -> None:
+    for module in ONE_SPELLING_DIRS:
+        for path in sorted((SRC / module).glob("*.hpp")):
+            declared = declared_functions(path)
+            for name in sorted(declared):
+                if not name.endswith("_into"):
+                    continue
+                twin = name[: -len("_into")]
+                if twin in declared:
+                    rel = path.relative_to(REPO_ROOT)
+                    violations.append(
+                        f"{rel}:{declared[twin]}: [one-spelling-per-"
+                        f"transform] {twin}() is declared beside {name}(); "
+                        f"keep only the workspace form"
+                    )
+
+
 def main() -> int:
     violations: list[str] = []
     check_hot_contract_messages(violations)
     check_hot_loop_strings(violations)
     check_lock_discipline(violations)
+    check_one_spelling_per_transform(violations)
     if violations:
         print(f"lint_invariants: {len(violations)} violation(s)")
         for v in violations:
