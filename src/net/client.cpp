@@ -12,9 +12,10 @@ namespace {
 /// Rethrows a server-reported error as the exception type the
 /// equivalent in-process call would have thrown, prefixed so the caller
 /// can tell the failing process apart.
-[[noreturn]] void rethrow_remote(const ErrorView& error) {
-  const std::string what = "remote: " + std::string(error.message);
-  switch (error.code) {
+[[noreturn]] void rethrow_remote(WireErrorCode code,
+                                 std::string_view message) {
+  const std::string what = "remote: " + std::string(message);
+  switch (code) {
     case WireErrorCode::kInvalidArgument:
       throw InvalidArgument(what);
     case WireErrorCode::kDataError:
@@ -32,8 +33,12 @@ namespace {
 void ShardClient::connect(const platform::SocketAddress& address) {
   expects(!socket_.valid(), "ShardClient: already connected");
   socket_ = platform::Socket::connect(address);
+  // Only wait() blocks from here on: a send whose buffer is full reads
+  // what the server pushed instead of sitting in the kernel.
+  socket_.set_nonblocking(true);
   incoming_.clear();
   pending_.clear();
+  error_.reset();
   HelloPayload hello;
   hello.nonce = 0x65676C617373ull;  // "eglass": a fixed probe value
   outgoing_.clear();
@@ -67,10 +72,18 @@ void ShardClient::ingest(std::uint64_t client_id,
   // Batch: one syscall carries many chunks. TCP ordering keeps every
   // batched chunk ahead of the next awaited request (which calls
   // send_frame() first), so barriers still cover everything sent-or-
-  // batched before them.
+  // batched before them. The batch send is also where the stream reads:
+  // one recv per batch picks up the detections the server pushed since.
   if (outgoing_.size() >= k_ingest_batch_bytes) {
     send_frame();
+    receive();
+    throw_held_error();
   }
+}
+
+void ShardClient::take_detections(std::vector<engine::Detection>& out) {
+  out.insert(out.end(), pending_.begin(), pending_.end());
+  pending_.clear();
 }
 
 void ShardClient::flush(std::vector<engine::Detection>& out) {
@@ -79,10 +92,9 @@ void ShardClient::flush(std::vector<engine::Detection>& out) {
   encode_flush(outgoing_, sequence);
   send_frame();
   await(FrameType::kFlushAck, sequence);
-  // Everything the barrier produced (plus batches collected while
-  // awaiting earlier acks) is in pending_ now.
-  out.insert(out.end(), pending_.begin(), pending_.end());
-  pending_.clear();
+  // Everything the barrier produced (plus batches collected by earlier
+  // calls) is in pending_ now.
+  take_detections(out);
 }
 
 engine::EngineStats ShardClient::stats() {
@@ -135,41 +147,91 @@ void ShardClient::close() {
   incoming_.clear();
   outgoing_.clear();
   pending_.clear();
+  error_.reset();
 }
 
 void ShardClient::send_frame() {
-  socket_.send_all(outgoing_);
+  std::span<const std::byte> rest(outgoing_);
+  while (!rest.empty()) {
+    bool would_block = false;
+    rest = rest.subspan(socket_.send_some(rest, &would_block));
+    // A full send buffer may mean the server stopped reading until this
+    // client drains its output: wait for either, and read while waiting.
+    // The ack of a request being sent cannot arrive before the request
+    // is out, so nothing read here is awaited.
+    if (would_block && socket_.wait(true)) {
+      receive();
+    }
+  }
   outgoing_.clear();
 }
 
-FrameView ShardClient::await(FrameType type, std::uint64_t sequence) {
+void ShardClient::receive() {
+  read_available();
+  decode(FrameType{}, 0, nullptr);
+}
+
+void ShardClient::read_available() {
   std::byte chunk[16384];
   for (;;) {
-    FrameView view;
-    while (incoming_.next(view)) {
-      const auto got = static_cast<FrameType>(view.header.type);
-      if (got == type && view.header.sequence == sequence) {
-        return view;
-      }
-      if (got == FrameType::kDetections) {
-        for (const WireDetection& wire : decode_detections(view)) {
-          pending_.push_back(from_wire(wire));
-        }
-        continue;
-      }
-      if (got == FrameType::kError) {
-        const ErrorView error = decode_error(view);
-        rethrow_remote(error);
-      }
-      // Anything else is a stale ack: a reply whose request the caller
-      // already abandoned because an error frame overtook it.
-      continue;
+    bool would_block = false;
+    const std::size_t got = socket_.recv_some(chunk, &would_block);
+    if (would_block) {
+      return;
     }
-    const std::size_t got = socket_.recv_some(chunk);
     if (got == 0) {
       throw DataError("ShardClient: server closed the connection");
     }
     incoming_.append(std::span<const std::byte>(chunk, got));
+  }
+}
+
+bool ShardClient::decode(FrameType type, std::uint64_t sequence,
+                         FrameView* ack) {
+  // A held error stops decoding: the frames behind it belong to the
+  // calls after the one that throws it.
+  FrameView view;
+  while (!error_.has_value() && incoming_.next(view)) {
+    const auto got = static_cast<FrameType>(view.header.type);
+    if (ack != nullptr && got == type && view.header.sequence == sequence) {
+      *ack = view;
+      return true;
+    }
+    if (got == FrameType::kDetections) {
+      for (const WireDetection& wire : decode_detections(view)) {
+        pending_.push_back(from_wire(wire));
+      }
+      continue;
+    }
+    if (got == FrameType::kError) {
+      const ErrorView error = decode_error(view);
+      error_ = HeldError{error.code, std::string(error.message)};
+      continue;
+    }
+    // Anything else is a stale ack: a reply whose request the caller
+    // already abandoned because an error frame overtook it.
+  }
+  return false;
+}
+
+void ShardClient::throw_held_error() {
+  if (error_.has_value()) {
+    const HeldError error = std::move(*error_);
+    error_.reset();
+    rethrow_remote(error.code, error.message);
+  }
+}
+
+FrameView ShardClient::await(FrameType type, std::uint64_t sequence) {
+  for (;;) {
+    FrameView ack;
+    const bool found = decode(type, sequence, &ack);
+    throw_held_error();
+    if (found) {
+      return ack;  // valid until the next append to incoming_
+    }
+    socket_.wait(false);
+    read_available();
   }
 }
 
@@ -224,12 +286,19 @@ void RemoteBackend::ingest(engine::Shard& shard, std::uint64_t local_id,
       engine::SessionHandle::pack(shard.index, local_id).value;
   MutexLock lock(mutex_);
   client_.ingest(client_id, chunk);
+  scratch_.clear();
+  client_.take_detections(scratch_);
+  deliver();
 }
 
 void RemoteBackend::flush() {
   MutexLock lock(mutex_);
   scratch_.clear();
   client_.flush(scratch_);
+  deliver();
+}
+
+void RemoteBackend::deliver() {
   if (!scratch_.empty() && sink_ != nullptr) {
     sink_->on_detections(scratch_);
   }

@@ -2,14 +2,17 @@
 //
 // ShardClient is the thin synchronous wire conversation: one connected
 // socket, one request/ack exchange at a time, with server-pushed
-// detection batches collected on the side while an ack is awaited.
-// RemoteBackend stacks it under the ExecutionBackend interface so a
-// DetectionService whose shards live in another process is driven by
-// exactly the code that drives an in-process one:
+// detection batches collected on the side. The client reads whenever it
+// sends — each 64 KiB ingest batch and each request — so detections
+// reach it while the stream runs, not only at a barrier. RemoteBackend
+// stacks it under the ExecutionBackend interface so a DetectionService
+// whose shards live in another process is driven by exactly the code
+// that drives an in-process one:
 //
 //   DetectionService (client process)          ShardServer (server)
 //     create_session(key, cfg) ──open-session frame──▶ create_session(key, cfg)
-//     ingest(handle, chunk)    ──chunk frame─────────▶ ingest(shard, chunk)
+//     ingest(handle, chunk)    ──chunk frames (batched)▶ ingest(shard, chunk)
+//        ◀──detection frames, read on the next batch send──
 //     flush()                  ──flush frame─────────▶ flush()
 //        ◀──detection frames, flush-ack──
 //
@@ -24,7 +27,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -45,9 +50,16 @@ namespace esl::net {
 inline constexpr std::size_t k_ingest_batch_bytes = 64 * 1024;
 
 /// Synchronous conversation with one ShardServer. Not thread-safe —
-/// callers (RemoteBackend) serialize. Every call that awaits an ack
-/// surfaces a server-reported failure as the matching exception type
-/// (InvalidArgument / DataError / Error) carrying the server's message.
+/// callers (RemoteBackend) serialize. A server-reported failure surfaces
+/// as the matching exception type (InvalidArgument / DataError / Error)
+/// carrying the server's message, thrown by the call that read the
+/// error frame: an awaited call, or an ingest that sent its batch.
+///
+/// Every send also reads: whatever the socket holds once a batch is out,
+/// and, while the send buffer is full, everything the server pushes. The
+/// server stops reading a connection whose queued output is over its cap
+/// (k_max_queued_output_bytes in net/shard_server.hpp), so a send that
+/// could not read would deadlock against it.
 class ShardClient {
  public:
   ShardClient() = default;
@@ -71,17 +83,22 @@ class ShardClient {
                              std::uint64_t routing_key,
                              const engine::SessionConfig& config);
 
-  /// Queues one ingest chunk (no ack; errors surface on the next
-  /// awaited call or as a connection failure). Chunks batch in the
-  /// encode buffer and go out once k_ingest_batch_bytes are pending or
-  /// any awaited call runs, whichever comes first.
+  /// Queues one ingest chunk (no ack). Chunks batch in the encode
+  /// buffer and go out once k_ingest_batch_bytes are pending or any
+  /// awaited call runs, whichever comes first. A call that sends the
+  /// batch then reads what the server has pushed without blocking: the
+  /// detections wait in take_detections(), and an error frame among them
+  /// is thrown from here.
   void ingest(std::uint64_t client_id,
               const std::vector<std::span<const Real>>& chunk);
 
+  /// Appends the detections read so far (client session ids) to `out`.
+  void take_detections(std::vector<engine::Detection>& out);
+
   /// Flush barrier: every chunk sent before the call has been
   /// classified server-side when this returns. Detections received up
-  /// to the ack (including any collected while awaiting earlier acks)
-  /// are appended to `out` with client session ids.
+  /// to the ack (including any collected by earlier calls) are appended
+  /// to `out` with client session ids.
   void flush(std::vector<engine::Detection>& out);
 
   engine::EngineStats stats();
@@ -104,12 +121,32 @@ class ShardClient {
   void close();
 
  private:
-  /// Reads frames until the ack of `type` echoing `sequence` arrives;
-  /// pushed detection frames encountered on the way are translated into
-  /// `pending_`, an error frame is thrown as its exception type, and
-  /// stale acks (a reply overtaken by an earlier error) are skipped.
-  FrameView await(FrameType type, std::uint64_t sequence);
+  /// A server error frame read while no call could throw it yet (the
+  /// send it arrived during was still going out).
+  struct HeldError {
+    WireErrorCode code = WireErrorCode::kInternal;
+    std::string message;
+  };
+
+  /// Sends the encode buffer. While the socket's send buffer is full it
+  /// waits for readable-or-writable and reads what the server pushed.
   void send_frame();
+  /// read_available(), then decode() with no ack awaited.
+  void receive();
+  /// Appends what the socket holds right now to `incoming_`; never
+  /// blocks. Throws DataError when the server closed the connection.
+  void read_available();
+  /// Decodes buffered frames: detection batches into `pending_`, stale
+  /// acks (a reply overtaken by an earlier error) skipped. Stops at an
+  /// error frame, held in `error_`, and, when `ack` is set, at the ack of
+  /// `type` echoing `sequence`, returned in `*ack`. Returns whether that
+  /// ack was found.
+  bool decode(FrameType type, std::uint64_t sequence, FrameView* ack);
+  /// Throws the held error, if any, as its exception type.
+  void throw_held_error();
+  /// Reads until the ack of `type` echoing `sequence` arrives; an error
+  /// frame on the way is thrown as its exception type.
+  FrameView await(FrameType type, std::uint64_t sequence);
 
   platform::Socket socket_;
   FrameBuffer incoming_;
@@ -119,21 +156,25 @@ class ShardClient {
   std::uint64_t next_sequence_ = 1;
   std::uint32_t shard_count_ = 0;
   std::uint32_t flags_ = 0;
-  /// Detections pushed by the server while another ack was awaited.
+  /// Detections read from the socket, not yet handed to a caller.
   std::vector<engine::Detection> pending_;
+  std::optional<HeldError> error_;
 };
 
 /// ExecutionBackend that forwards every shard's traffic to a
 /// ShardServer. The DetectionService using it keeps local handle
 /// allocation, config and chunk validation, and splitmix64 placement;
 /// classification happens in the server process, and detections flow
-/// back into the service's DetectionSink at flush() exactly as the
-/// in-process backends deliver them.
+/// back into the service's DetectionSink as the client reads them.
 ///
 /// One mutex serializes the wire conversation: ingest from concurrent
 /// sessions, session creation, flush and the control-plane extras all
-/// take turns on the socket. flush() is the only call that reads, so
-/// server-pushed detection batches ride the TCP buffer until then.
+/// take turns on the socket. Every send reads what the server pushed.
+/// ingest() and flush() hand the detections read so far to the sink on
+/// the caller's thread, under the mutex, so they arrive with the batch
+/// send after they were classified; flush() is only the barrier. The
+/// control-plane calls run under a shard mutex, so they only collect:
+/// their detections wait for the next ingest or flush.
 class RemoteBackend final : public engine::ExecutionBackend {
  public:
   explicit RemoteBackend(platform::SocketAddress address);
@@ -162,6 +203,9 @@ class RemoteBackend final : public engine::ExecutionBackend {
   bool server_has_registry();
 
  private:
+  /// Hands the detections in scratch_ to the sink.
+  void deliver() ESL_REQUIRES(mutex_);
+
   platform::SocketAddress address_;
   engine::DetectionSink* sink_ = nullptr;
   mutable Mutex mutex_;

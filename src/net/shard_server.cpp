@@ -1,5 +1,6 @@
 #include "net/shard_server.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <unordered_map>
@@ -14,6 +15,11 @@
 namespace esl::net {
 
 namespace {
+
+/// Input read from one connection per loop pass. A peer that keeps its
+/// socket full would otherwise grow the input buffer without bound
+/// before a single frame is handled.
+constexpr std::size_t k_max_read_per_pass = 64 * 1024;
 
 WireErrorCode code_of(const Error& error) {
   if (dynamic_cast<const InvalidArgument*>(&error) != nullptr) {
@@ -116,7 +122,10 @@ void ShardServer::Sink::on_detections(
     }
     for (Connection* connection : server_.sink_touched_) {
       MutexLock outbox(connection->outbox_mutex);
+      const std::size_t before = connection->outbox.size();
       connection->batcher.encode_into(connection->outbox, 0);
+      connection->queued.fetch_add(connection->outbox.size() - before,
+                                   std::memory_order_relaxed);
     }
     queued = !server_.sink_touched_.empty();
   }
@@ -138,20 +147,23 @@ void ShardServer::complete_flush(std::uint64_t connection_id,
   // have died while the barrier was in flight: look it up by id under
   // route_mutex_ (the loop unregisters ids there before freeing), and
   // queue the ack only into a live outbox.
-  bool queued = false;
-  {
-    MutexLock lock(route_mutex_);
-    const auto it = live_.find(connection_id);
-    if (it != live_.end()) {
-      Connection& connection = *it->second;
-      MutexLock outbox(connection.outbox_mutex);
-      encode_flush_ack(connection.outbox, sequence);
-      queued = true;
-    }
+  MutexLock lock(route_mutex_);
+  const auto it = live_.find(connection_id);
+  if (it != live_.end()) {
+    queue_frame(*it->second, [&](std::vector<std::byte>& out) {
+      encode_flush_ack(out, sequence);
+    });
   }
-  if (queued) {
-    wake_.wake();
+}
+
+std::size_t ShardServer::queued_output_bytes() const {
+  MutexLock lock(route_mutex_);
+  std::size_t total = 0;
+  for (const auto& [id, connection] : live_) {
+    (void)id;
+    total += connection->queued.load(std::memory_order_relaxed);
   }
+  return total;
 }
 
 #if ESL_HAVE_POSIX_SOCKETS
@@ -165,14 +177,22 @@ void ShardServer::run() {
     // accept_pending() below may grow connections_; only this snapshot
     // has a pollfd, so only this prefix may be walked afterwards.
     const std::size_t polled = connections_.size();
+    int timeout_ms = -1;
     for (const auto& connection : connections_) {
-      short events = POLLIN;
+      // Over the output cap, the connection's input waits in the socket
+      // buffers. Back under it, frames left buffered by a stalled pass
+      // are handled without waiting for new input.
+      const bool capped = over_cap(*connection);
+      short events = capped ? 0 : POLLIN;
+      if (connection->stalled && !capped) {
+        timeout_ms = 0;
+      }
       if (wants_output(*connection)) {
         events |= POLLOUT;
       }
       fds.push_back(pollfd{connection->socket.fd(), events, 0});
     }
-    const int ready = ::poll(fds.data(), fds.size(), -1);
+    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0) {
       continue;  // EINTR
     }
@@ -193,7 +213,7 @@ void ShardServer::run() {
         drop_connection(i);
         continue;
       }
-      if ((revents & POLLIN) != 0 && !service_input(connection)) {
+      if (!service_input(connection, (revents & POLLIN) != 0)) {
         drop_connection(i);
         continue;
       }
@@ -243,13 +263,20 @@ void ShardServer::accept_pending() {
   }
 }
 
-bool ShardServer::service_input(Connection& connection) {
+bool ShardServer::service_input(Connection& connection, bool readable) {
   std::byte buffer[16384];
-  while (true) {
+  // Read only once the last pass handled every complete frame, and at
+  // most k_max_read_per_pass: the input buffer then holds one pass plus
+  // a partial frame. poll keeps reporting what is left.
+  std::size_t budget =
+      readable && !connection.stalled ? k_max_read_per_pass : 0;
+  while (budget > 0) {
     bool would_block = false;
     std::size_t got = 0;
     try {
-      got = connection.socket.recv_some(buffer, &would_block);
+      got = connection.socket.recv_some(
+          std::span<std::byte>(buffer, std::min(sizeof(buffer), budget)),
+          &would_block);
     } catch (const Error&) {
       return false;  // reset by peer
     }
@@ -260,14 +287,22 @@ bool ShardServer::service_input(Connection& connection) {
       return false;  // EOF
     }
     connection.incoming.append(std::span<const std::byte>(buffer, got));
+    budget -= got;
   }
   try {
     FrameView view;
-    while (connection.incoming.next(view)) {
-      handle_frame(connection, view);
-      if (connection.closing) {
-        break;  // ignore anything framed after the goodbye
+    connection.stalled = false;
+    // Stop at the goodbye (ignore anything framed after it) and at the
+    // output cap (the rest waits until the client drains its output).
+    while (!connection.closing) {
+      if (over_cap(connection)) {
+        connection.stalled = true;
+        break;
       }
+      if (!connection.incoming.next(view)) {
+        break;
+      }
+      handle_frame(connection, view);
     }
   } catch (const Error&) {
     // Malformed bytes at the stream front: the connection is poisoned
@@ -336,13 +371,12 @@ void ShardServer::handle_frame(Connection& connection, const FrameView& view) {
         return;
       }
       const ChunkView chunk = decode_chunk(view);
-      std::vector<std::span<const Real>> channels;
-      channels.reserve(chunk.channel_count);
+      chunk_scratch_.clear();
       for (std::uint32_t c = 0; c < chunk.channel_count; ++c) {
-        channels.push_back(chunk.channel(c));
+        chunk_scratch_.push_back(chunk.channel(c));
       }
       try {
-        service_->ingest(session->second, channels);
+        service_->ingest(session->second, chunk_scratch_);
       } catch (const Error& error) {
         queue_error(connection, sequence, code_of(error), error.what());
       }
@@ -462,12 +496,13 @@ void ShardServer::handle_frame(Connection& connection, const FrameView& view) {
   }
 }
 
-bool ShardServer::wants_output(Connection& connection) {
-  if (connection.sent < connection.sending.size()) {
-    return true;
-  }
-  MutexLock lock(connection.outbox_mutex);
-  return !connection.outbox.empty();
+bool ShardServer::wants_output(const Connection& connection) {
+  return connection.queued.load(std::memory_order_relaxed) > 0;
+}
+
+bool ShardServer::over_cap(const Connection& connection) {
+  return connection.queued.load(std::memory_order_relaxed) >=
+         k_max_queued_output_bytes;
 }
 
 bool ShardServer::service_output(Connection& connection) {
@@ -500,6 +535,7 @@ bool ShardServer::service_output(Connection& connection) {
       return true;  // poll will report POLLOUT when there is room
     }
     connection.sent += wrote;
+    connection.queued.fetch_sub(wrote, std::memory_order_relaxed);
   }
   connection.sending.clear();
   connection.sent = 0;

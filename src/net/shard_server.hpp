@@ -20,11 +20,20 @@
 // socket traffic.
 //
 // Backpressure: client -> server ingest backpressure is the socket
-// buffer (the loop stops reading a connection only while poll says so);
-// server -> client detection flow is absorbed by the outbox, bounded in
-// practice by the flush cadence. Under the threaded backend the loop
-// thread is the only ingest producer, so each shard queue runs the
-// lock-free SPSC fast path (engine/ingest_queue.hpp).
+// buffer. The loop reads at most 64 KiB of a connection's input per
+// pass, and only once the frames already read are handled, so the input
+// buffer stays small however fast a client sends. Server -> client
+// detections go out as they are produced, and the client reads them on
+// each batch send, so its queued output stays small. A client that
+// stops reading is held back by a fixed cap on the connection's queued
+// output (k_max_queued_output_bytes: outbox plus unsent staging). Over
+// the cap, the loop stops handling the connection's frames and stops
+// polling it for input, so its ingest stays in the socket buffers and,
+// once they fill, its sends block. Work already queued on the shards
+// keeps reaching the outbox, so the overshoot is bounded by that work.
+// Below the cap, handling and reading resume. Under the threaded
+// backend the loop thread is the only ingest producer, so each shard
+// queue runs the lock-free SPSC fast path (engine/ingest_queue.hpp).
 //
 // Flush: a kFlush barriers only the requesting connection's sessions
 // (their shards), asynchronously — the loop registers the scoped
@@ -61,6 +70,12 @@
 #include "platform/socket.hpp"
 
 namespace esl::net {
+
+/// Per-connection cap on output queued for the client (outbox plus
+/// unsent staging). Over it, the server handles no more of that
+/// connection's frames until the client drains its output. One ingest
+/// batch's worth: a client that reads on every send stays far below.
+inline constexpr std::size_t k_max_queued_output_bytes = 64 * 1024;
 
 struct ShardServerConfig {
   /// Listen address ("unix:PATH" or "tcp:HOST:PORT"; tcp port 0 binds
@@ -102,10 +117,14 @@ class ShardServer {
   /// The owned service (e.g. for out-of-band stats in tests/tools).
   engine::DetectionService& service() { return *service_; }
 
+  /// Output queued for clients and not yet written (outboxes plus
+  /// unsent staging), summed over the live connections. Any thread.
+  std::size_t queued_output_bytes() const;
+
  private:
   /// One client conversation. Only the loop thread touches a
-  /// Connection, except `outbox` which detection sinks fill from
-  /// wherever the service backend runs.
+  /// Connection, except `outbox` and `queued`, which detection sinks
+  /// raise from wherever the service backend runs.
   struct Connection {
     platform::Socket socket;
     FrameBuffer incoming;
@@ -121,6 +140,13 @@ class ShardServer {
     /// Loop-thread staging for partially-written bytes.
     std::vector<std::byte> sending;
     std::size_t sent = 0;
+    /// Bytes in `outbox` plus the unsent tail of `sending`: raised by
+    /// whoever appends to the outbox (under its mutex), lowered by the
+    /// loop as the socket accepts bytes.
+    std::atomic<std::size_t> queued{0};
+    /// The last frame pass stopped at the output cap, so `incoming` may
+    /// still hold frames (loop thread only).
+    bool stalled = false;
     /// Reusable per-connection detection accumulator for the sink path.
     /// Accessed only with route_mutex_ held (the sink's translate pass
     /// runs under it; Clang's analysis cannot tie this member to
@@ -146,14 +172,16 @@ class ShardServer {
 
   void run();
   void accept_pending();
-  /// Reads and handles every buffered frame; returns false when the
-  /// connection must be dropped (EOF or poisoned stream).
-  bool service_input(Connection& connection);
+  /// Reads what the socket holds when `readable`, then handles buffered
+  /// frames while the connection's output is under the cap; returns
+  /// false when the connection must be dropped (EOF or poisoned stream).
+  bool service_input(Connection& connection, bool readable);
   void handle_frame(Connection& connection, const FrameView& view);
   /// Moves outbox bytes into `sending` and writes what the socket
   /// accepts; returns false when the peer is gone.
   bool service_output(Connection& connection);
-  bool wants_output(Connection& connection);
+  static bool wants_output(const Connection& connection);
+  static bool over_cap(const Connection& connection);
   void drop_connection(std::size_t index);
   void queue_error(Connection& connection, std::uint64_t sequence,
                    WireErrorCode code, std::string_view message);
@@ -164,7 +192,10 @@ class ShardServer {
   void queue_frame(Connection& connection, Encode&& encode) {
     {
       MutexLock lock(connection.outbox_mutex);
+      const std::size_t before = connection.outbox.size();
       encode(connection.outbox);
+      connection.queued.fetch_add(connection.outbox.size() - before,
+                                  std::memory_order_relaxed);
     }
     wake_.wake();
   }
@@ -189,6 +220,9 @@ class ShardServer {
   std::uint64_t next_connection_id_ = 1;                  // loop thread only
   /// Loop-thread scratch for scoped flushes (reused per kFlush).
   std::vector<engine::SessionHandle> flush_scratch_;
+  /// Loop-thread scratch for a chunk frame's channel views (reused per
+  /// kChunk).
+  std::vector<std::span<const Real>> chunk_scratch_;
 
   /// Reverse route for the sink: server handle value -> (connection,
   /// client session id). Written by the loop on open, erased on drop;

@@ -333,7 +333,7 @@ ErrorView decode_error(const FrameView& view);
 
 // -------------------------------------------------------------- encode
 // Encoders append one complete frame (header + payload + padding) onto
-// `out`; senders batch several frames per send_all. The sequence is
+// `out`; senders batch several frames per send. The sequence is
 // caller-assigned; acks echo the request's. The two variable-array
 // encoders (encode_chunk, encode_detections) split input larger than
 // one frame's payload budget across several back-to-back frames, each

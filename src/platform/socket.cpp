@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -206,6 +207,17 @@ std::size_t Socket::recv_some(std::span<std::byte> out, bool* would_block) {
   }
 }
 
+bool Socket::wait(bool writable) const {
+  expects(valid(), "Socket::wait: socket is closed");
+  pollfd entry{fd_, static_cast<short>(POLLIN | (writable ? POLLOUT : 0)), 0};
+  while (::poll(&entry, 1, -1) < 0) {
+    if (errno != EINTR) {
+      throw_errno("Socket::wait");
+    }
+  }
+  return (entry.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0;
+}
+
 void Socket::set_nonblocking(bool enabled) {
   expects(valid(), "Socket::set_nonblocking: socket is closed");
   const int flags = ::fcntl(fd_, F_GETFL, 0);
@@ -390,6 +402,7 @@ std::size_t Socket::send_some(std::span<const std::byte>, bool*) {
   unsupported();
 }
 std::size_t Socket::recv_some(std::span<std::byte>, bool*) { unsupported(); }
+bool Socket::wait(bool) const { unsupported(); }
 void Socket::set_nonblocking(bool) { unsupported(); }
 void Socket::close() {}
 

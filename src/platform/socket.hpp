@@ -14,10 +14,11 @@
 //
 // Blocking discipline: sockets are created blocking; the ShardServer
 // event loop flips its accepted connections non-blocking and multiplexes
-// them with poll(2), while the client side keeps blocking send/recv
-// (a ShardClient call is synchronous by contract). send_all masks
-// SIGPIPE per call (MSG_NOSIGNAL) so a dropped peer surfaces as a
-// DataError, never a process signal.
+// them with poll(2). A ShardClient call is synchronous by contract, but
+// its socket is non-blocking too: it sends with send_some and reads what
+// the server pushed whenever the send buffer is full, blocking only in
+// wait(). Sends mask SIGPIPE per call (MSG_NOSIGNAL) so a dropped peer
+// surfaces as a DataError, never a process signal.
 //
 // Off POSIX (#if !ESL_HAVE_POSIX_SOCKETS) every operation throws
 // DataError("sockets unavailable...") — the net/ subsystem compiles
@@ -81,6 +82,10 @@ class Socket {
   /// socket, sets `*would_block` instead of returning 0 for EAGAIN).
   std::size_t recv_some(std::span<std::byte> out,
                         bool* would_block = nullptr);
+  /// Blocks until the socket is readable or, when `writable` is set,
+  /// writable. A hang-up or error counts as readable, so the next recv
+  /// reports it. Returns whether the socket is readable.
+  bool wait(bool writable) const;
 
   void set_nonblocking(bool enabled);
   void close();

@@ -9,10 +9,13 @@
 // inline and threaded server backends at several shard counts. The
 // rest covers the control plane (stats, registry model swap, label
 // trigger error propagation), hostile clients (bad configs, unknown
-// sessions, garbage bytes), and a concurrent-ingest run that TSan
-// checks end to end (client mutex, server event loop, shard workers).
+// sessions, garbage bytes), a concurrent-ingest run that TSan checks
+// end to end (client mutex, server event loop, shard workers), delivery
+// of detections before the flush, and the server's cap on output
+// queued for a client that does not read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -67,6 +70,16 @@ struct WindowOutcome {
 
 WindowOutcome outcome_of(const Detection& d) {
   return {d.window_index, d.window_start_s, d.label, d.screened_out, d.alarm};
+}
+
+/// A session geometry whose every sample completes a window: 4 s at
+/// 16.25 Hz is the extractor's 65-sample minimum, and a 0.99 overlap
+/// rounds the hop to one sample. Output outgrows input fast.
+engine::SessionConfig one_sample_hop() {
+  engine::SessionConfig config;
+  config.sample_rate_hz = 16.25;
+  config.overlap = 0.99;
+  return config;
 }
 
 /// A fresh socket path per test: ctest runs suites concurrently and a
@@ -636,6 +649,353 @@ TEST_F(NetLoopback, OneConnectionsFlushDoesNotBlockAnothers) {
   EXPECT_TRUE(a_flushed.load());
   a.close();
   b.close();
+  server->stop();
+}
+
+TEST_F(NetLoopback, DetectionsArriveBeforeTheFlush) {
+  // The client reads on every batch send, and RemoteBackend hands what
+  // it read to the sink on the ingest caller's thread: windows reach the
+  // sink while the stream runs, before any flush of this service. After
+  // the closing flush, each session's stream is still bit-identical to
+  // the single-Engine reference.
+  const std::vector<std::vector<WindowOutcome>> reference =
+      reference_outcomes();
+
+  // Runs only on the ingest/flush caller (this thread).
+  class CountingSink final : public engine::DetectionSink {
+   public:
+    void on_detections(std::span<const Detection> detections) override {
+      windows += detections.size();
+      for (const Detection& d : detections) {
+        outcomes[d.session_id].push_back(outcome_of(d));
+      }
+    }
+    std::size_t windows = 0;
+    std::map<std::uint64_t, std::vector<WindowOutcome>> outcomes;
+  };
+
+  struct Topology {
+    bool threaded;
+    std::size_t shards;
+  };
+  const Topology topologies[] = {
+      {false, 1}, {false, 2}, {true, 1}, {true, 2}};
+  for (const Topology& topology : topologies) {
+    SCOPED_TRACE(std::string(topology.threaded ? "threads" : "inline") +
+                 " x " + std::to_string(topology.shards) + " shards");
+    const platform::SocketAddress address = loopback_address();
+    auto server = make_server(address, topology.shards, topology.threaded);
+    auto service = make_remote_service(address, topology.shards);
+    CountingSink sink;
+    service->set_detection_sink(&sink);
+
+    std::vector<SessionHandle> handles;
+    for (std::size_t s = 0; s < k_sessions; ++s) {
+      handles.push_back(service->create_session());
+    }
+    const SessionHandle padding = service->create_session();
+
+    // The inline backend classifies only at a flush barrier, which polls
+    // whole shards. A second tenant whose sessions cover every shard
+    // flushes once per round; this service never flushes until the end.
+    ShardClient tenant;
+    if (!topology.threaded) {
+      tenant.connect(address);
+      std::vector<bool> covered(topology.shards, false);
+      for (std::uint64_t key = 0;
+           std::find(covered.begin(), covered.end(), false) != covered.end();
+           ++key) {
+        const std::uint64_t server_session =
+            tenant.open_session(key, key, engine::SessionConfig{});
+        covered[SessionHandle{server_session}.shard()] = true;
+      }
+    }
+    const auto tick = [&] {
+      if (!topology.threaded) {
+        std::vector<Detection> none;
+        tenant.flush(none);
+      }
+    };
+
+    std::size_t bytes = 0;
+    const std::size_t rounds = stream_samples(*background_record_) / k_chunk;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (std::size_t s = 0; s < k_sessions; ++s) {
+        const signal::EegRecord& record = record_for(s);
+        if ((round + 1) * k_chunk <= stream_samples(record)) {
+          service->ingest(handles[s],
+                          chunk_views(record, round * k_chunk, k_chunk));
+          bytes += k_chunk * record.channel_count() * sizeof(Real);
+        }
+      }
+      tick();
+    }
+    EXPECT_GT(bytes, k_ingest_batch_bytes);
+    // A slow server (sanitizers) may not have classified anything by the
+    // last batch send: keep sending batches on a padding session until
+    // the client has read windows.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    for (std::size_t round = 0;
+         sink.windows == 0 && std::chrono::steady_clock::now() < deadline;
+         ++round) {
+      tick();
+      const std::size_t offset =
+          (round % (stream_samples(*background_record_) / k_chunk)) * k_chunk;
+      service->ingest(padding, chunk_views(*background_record_, offset, k_chunk));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(sink.windows, 0u) << "no window reached the sink before the flush";
+
+    service->flush();
+    for (std::size_t s = 0; s < k_sessions; ++s) {
+      SCOPED_TRACE("session " + std::to_string(s));
+      EXPECT_EQ(sink.outcomes[handles[s].value], reference[s]);
+    }
+    if (!topology.threaded) {
+      tenant.close();
+    }
+    service->stop();
+    server->stop();
+  }
+}
+
+TEST_F(NetLoopback, RefusedChunkSurfacesTypedFromIngestOrFlush) {
+  // An error frame the client reads while a batch goes out is thrown by
+  // the call that read it — an ingest that sent its batch, or the flush
+  // — with the server's exception type. It is thrown once, and the
+  // connection keeps serving.
+  const platform::SocketAddress address = loopback_address();
+  auto server = make_server(address, 1, false);
+  auto service = make_remote_service(address, 1);
+  const SessionHandle refused = service->create_session();
+  const SessionHandle served = service->create_session();
+  // The client service takes a chunk for a closed session (its slot is a
+  // tombstone); the server no longer routes it and refuses it.
+  service->close_session(refused);
+
+  std::size_t refusals = 0;
+  const auto count_refusal = [&](const auto& call) {
+    try {
+      call();
+    } catch (const InvalidArgument&) {
+      ++refusals;
+    }
+  };
+  const signal::EegRecord& record = record_for(0);
+  count_refusal(
+      [&] { service->ingest(refused, chunk_views(record, 0, k_chunk)); });
+  // Several batches' worth: the batch sends read what the server pushed.
+  constexpr std::size_t k_rounds = 8;
+  for (std::size_t round = 0; round < k_rounds; ++round) {
+    count_refusal([&] {
+      service->ingest(served, chunk_views(record, round * k_chunk, k_chunk));
+    });
+  }
+  count_refusal([&] { service->flush(); });
+  EXPECT_EQ(refusals, 1u);
+
+  // Still serving: every served chunk went out (a throwing ingest had
+  // sent its batch before it read the error), so the next flush delivers
+  // all of the served session's windows, in order.
+  EXPECT_NO_THROW(service->flush());
+  std::vector<Detection> drained;
+  service->drain(drained);
+  const std::size_t window = 1024;
+  const std::size_t hop = 256;
+  const std::size_t expected = (k_rounds * k_chunk - window) / hop + 1;
+  ASSERT_EQ(drained.size(), expected);
+  for (std::size_t w = 0; w < expected; ++w) {
+    EXPECT_EQ(drained[w].session_id, served.value);
+    EXPECT_EQ(drained[w].window_index, w);
+  }
+  service->stop();
+  server->stop();
+}
+
+TEST_F(NetLoopback, OutputCapHoldsBackAClientThatNeverReads) {
+  // A raw connection streams one-sample-hop chunks and never reads. The
+  // server stops taking its frames once its queued output reaches
+  // k_max_queued_output_bytes, so that output stays within the cap plus
+  // what the shard queues already held, and the connection's sends start
+  // to block. Other connections keep being served. Two shards halve the
+  // time to overrun the cap.
+  constexpr std::size_t k_shards = 2;
+  const platform::SocketAddress address = loopback_address();
+  auto server = make_server(address, k_shards, true);
+
+  // A well-behaved connection, first used to find a routing key per
+  // shard for the hog (which never reads its open-session acks).
+  ShardClient good;
+  good.connect(address);
+  std::vector<std::uint64_t> shard_keys(k_shards, ~0ull);
+  for (std::uint64_t key = 100;
+       std::find(shard_keys.begin(), shard_keys.end(), ~0ull) !=
+       shard_keys.end();
+       ++key) {
+    const std::uint64_t server_session =
+        good.open_session(key, key, engine::SessionConfig{});
+    shard_keys[SessionHandle{server_session}.shard()] = key;
+    good.close_session(key);
+  }
+
+  constexpr std::size_t k_hog_chunk = 16;  // samples: 16 windows a chunk
+  // Past the cap, each shard still holds the batch its worker popped (a
+  // full queue at most) and a full queue behind it, and the loop may be
+  // pushing one more chunk; each batch becomes one detection frame. The
+  // rest is slack for the hello and open-session acks.
+  const std::size_t queue_capacity = engine::ThreadPoolConfig{}.queue_capacity;
+  const std::size_t in_flight =
+      (k_shards * 2 * queue_capacity + 1) * k_hog_chunk *
+          sizeof(WireDetection) +
+      k_shards * 3 * (sizeof(FrameHeader) + sizeof(DetectionsPayload));
+  const std::size_t bound = k_max_queued_output_bytes + in_flight + 1024;
+
+  platform::Socket hog = platform::Socket::connect(address);
+  hog.set_nonblocking(true);
+  std::vector<std::byte> out;
+  std::uint64_t sequence = 1;
+  encode_hello(out, sequence++, HelloPayload{});
+  for (std::size_t shard = 0; shard < k_shards; ++shard) {
+    encode_open_session(out, shard, sequence++,
+                        make_open_session(shard_keys[shard], one_sample_hop()));
+  }
+
+  const signal::EegRecord& record = *background_record_;
+  const std::size_t usable = record.length_samples() - k_hog_chunk;
+  std::size_t offset = 0;
+  std::size_t chunks = 0;
+  std::size_t peak = 0;
+  bool reached_cap = false;
+  bool blocked_after_cap = false;
+  const auto sample_queued = [&] {
+    const std::size_t queued = server->queued_output_bytes();
+    peak = std::max(peak, queued);
+    reached_cap |= queued >= k_max_queued_output_bytes;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(240);
+  while (!blocked_after_cap && std::chrono::steady_clock::now() < deadline) {
+    if (offset == out.size()) {
+      out.clear();
+      offset = 0;
+      // Round robin over the shards; each session sees consecutive data.
+      const std::size_t start = (chunks / k_shards) * k_hog_chunk % usable;
+      encode_chunk(out, chunks % k_shards, sequence++,
+                   chunk_views(record, start, k_hog_chunk));
+      ++chunks;
+    }
+    bool would_block = false;
+    offset += hog.send_some(std::span<const std::byte>(out).subspan(offset),
+                            &would_block);
+    sample_queued();
+    if (would_block) {
+      blocked_after_cap = reached_cap;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_TRUE(reached_cap) << "the hog never overran the output cap";
+  ASSERT_TRUE(blocked_after_cap) << "the hog's sends never blocked";
+
+  // The well-behaved connection keeps getting flush acks (its barrier
+  // waits behind the hog's queued chunks, which still drain).
+  good.open_session(1, 1, engine::SessionConfig{});
+  for (std::size_t round = 0; round < 3; ++round) {
+    good.ingest(1, chunk_views(record, round * k_chunk, k_chunk));
+    std::vector<Detection> detections;
+    good.flush(detections);
+    sample_queued();
+  }
+  // The shard queues have drained into the hog's outbox by now.
+  for (int i = 0; i < 50; ++i) {
+    sample_queued();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(peak, bound);
+
+  // A RemoteBackend connection the server holds back: it streams
+  // one-sample-hop chunks and stops, and the windows the shards then
+  // produce outgrow the socket buffers plus the cap. Then one large
+  // ingest (several frames) outgrows the client's socket buffer while the
+  // server reads none of it. It completes only because the client reads
+  // while its send buffer is full; a send that cannot read would wait
+  // for good.
+  const std::size_t hog_queued = server->queued_output_bytes();
+  auto service = make_remote_service(address, k_shards);
+  std::vector<SessionHandle> streams(k_shards);
+  std::vector<bool> covered(k_shards, false);
+  for (std::uint64_t key = 0;
+       std::find(covered.begin(), covered.end(), false) != covered.end();
+       ++key) {
+    const SessionHandle handle = service->create_session(key, one_sample_hop());
+    if (!covered[handle.shard()]) {
+      covered[handle.shard()] = true;
+      streams[handle.shard()] = handle;
+    }
+  }
+  const SessionHandle bulk = service->create_session();
+  // Fewer chunks than a shard queue holds, so the loop never blocks on a
+  // full queue and keeps writing output while the kernel takes it.
+  constexpr std::size_t k_stream_chunk = 256;
+  constexpr std::size_t k_stream_samples = 40 * k_stream_chunk;  // each
+  static_assert(40 < engine::ThreadPoolConfig{}.queue_capacity);
+  const std::size_t stream_windows = k_stream_samples - 65 + 1;
+  const std::size_t classified = server->service().stats().windows_classified;
+  for (std::size_t sample = 0; sample < k_stream_samples;
+       sample += k_stream_chunk) {
+    for (const SessionHandle handle : streams) {
+      service->ingest(handle, chunk_views(record, sample, k_stream_chunk));
+    }
+  }
+  const auto stream_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(240);
+  while (server->service().stats().windows_classified <
+             classified + k_shards * stream_windows &&
+         std::chrono::steady_clock::now() < stream_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server->service().stats().windows_classified,
+            classified + k_shards * stream_windows);
+  ASSERT_GE(server->queued_output_bytes(),
+            hog_queued + k_max_queued_output_bytes)
+      << "the client's unread output stayed under the cap";
+
+  constexpr std::size_t k_tiles = 4;
+  std::vector<std::vector<Real>> tiled(record.channel_count());
+  for (std::size_t c = 0; c < tiled.size(); ++c) {
+    for (std::size_t t = 0; t < k_tiles; ++t) {
+      tiled[c].insert(tiled[c].end(), record.channel(c).samples.begin(),
+                      record.channel(c).samples.end());
+    }
+  }
+  std::vector<std::span<const Real>> large(tiled.begin(), tiled.end());
+  ASSERT_GT(large.front().size() * large.size() * sizeof(Real),
+            2 * k_max_payload_bytes);  // at least three chunk frames
+  service->ingest(bulk, large);
+  service->flush();
+
+  std::vector<Detection> drained;
+  service->drain(drained);
+  std::map<std::uint64_t, std::vector<std::size_t>> indices;
+  for (const Detection& d : drained) {
+    indices[d.session_id].push_back(d.window_index);
+  }
+  const auto expect_every_window = [&](SessionHandle handle,
+                                       std::size_t windows) {
+    const std::vector<std::size_t>& got = indices[handle.value];
+    ASSERT_EQ(got.size(), windows);
+    for (std::size_t w = 0; w < windows; ++w) {
+      EXPECT_EQ(got[w], w);
+    }
+  };
+  for (const SessionHandle handle : streams) {
+    expect_every_window(handle, stream_windows);
+  }
+  expect_every_window(bulk, (large.front().size() - 1024) / 256 + 1);
+
+  good.close();
+  service->stop();
+  hog.close();
   server->stop();
 }
 

@@ -35,6 +35,13 @@ Checks (all scoped to src/):
    tests and benches end up calling. Tests call the `_into` form with a
    local dsp::Workspace.
 
+5. no-blocking-send-in-net — no `send_all(` call in src/net. A
+   ShardServer stops reading a connection whose queued output is over
+   its cap until the client reads, so a client blocked in a send that
+   cannot read deadlocks against it. Sends in src/net go through
+   `send_some` and, while the buffer is full, wait on
+   readable-or-writable and read.
+
 Exit status 0 when clean; 1 with file:line diagnostics otherwise.
 Run from anywhere: paths resolve relative to the repo root (parent of
 this script's directory). CI runs this alongside clang-tidy.
@@ -51,6 +58,7 @@ SRC = REPO_ROOT / "src"
 HOT_CONTRACT_DIRS = ("dsp", "ml", "engine", "net")
 HOT_LOOP_DIRS = ("dsp", "ml")
 ONE_SPELLING_DIRS = ("dsp", "features")
+NO_BLOCKING_SEND_DIRS = ("net",)
 
 ALLOW_STRING = re.compile(r"//\s*lint:\s*allow-string\(")
 CONTRACT_CALL = re.compile(r"\b(expects|ensures)\s*\(")
@@ -61,6 +69,7 @@ LOOP_HEAD = re.compile(r"\b(for|while)\s*\(")
 # A function declaration: a return type (possibly qualified/templated,
 # with pointer/reference) followed by the declared name and its paren.
 DECLARATION = re.compile(r"[\w:>]\s*[*&]?\s+[*&]?(\w+)\s*\(")
+BLOCKING_SEND = re.compile(r"\bsend_all\s*\(")
 NOT_A_RETURN_TYPE = {"return", "else", "new", "throw", "co_return", "delete"}
 NAKED_LOCK = re.compile(
     r"\bstd::(mutex|condition_variable|lock_guard|unique_lock|scoped_lock"
@@ -239,12 +248,28 @@ def check_one_spelling_per_transform(violations: list[str]) -> None:
                     )
 
 
+def check_no_blocking_send(violations: list[str]) -> None:
+    for module in NO_BLOCKING_SEND_DIRS:
+        for path in source_files(SRC / module):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if BLOCKING_SEND.search(strip_comments_and_strings(line)):
+                    rel = path.relative_to(REPO_ROOT)
+                    violations.append(
+                        f"{rel}:{lineno}: [no-blocking-send-in-net] "
+                        f"send_all() blocks without reading; a server "
+                        f"holding back a capped connection waits for this "
+                        f"side to read. Use send_some and read while the "
+                        f"send buffer is full"
+                    )
+
+
 def main() -> int:
     violations: list[str] = []
     check_hot_contract_messages(violations)
     check_hot_loop_strings(violations)
     check_lock_discipline(violations)
     check_one_spelling_per_transform(violations)
+    check_no_blocking_send(violations)
     if violations:
         print(f"lint_invariants: {len(violations)} violation(s)")
         for v in violations:
