@@ -110,7 +110,10 @@ class ExecutionBackend {
   virtual void stop() = 0;
 
   /// Routes one chunk (one span per channel) to `shard`'s session
-  /// `local_id`. May block for backpressure (bounded queues).
+  /// `local_id`. May block for backpressure (bounded queues). A remote
+  /// backend may also deliver detections to the sink on the calling
+  /// thread, and may rethrow a server-reported error for any chunk sent
+  /// earlier on the connection, as flush() already could.
   virtual void ingest(Shard& shard, std::uint64_t local_id,
                       const std::vector<std::span<const Real>>& chunk) = 0;
 

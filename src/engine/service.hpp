@@ -86,6 +86,9 @@ class DetectionService {
   /// queue and returns (blocking only for backpressure when the shard
   /// lags). Thread-safe across distinct sessions; chunks for one session
   /// must come from one thread at a time (they are a time series).
+  /// Under RemoteBackend, ingest may deliver detections to the sink on
+  /// the calling thread, and it may rethrow a server-reported error for
+  /// any chunk sent earlier on the connection, as flush() already could.
   void ingest(SessionHandle handle,
               const std::vector<std::span<const Real>>& chunk);
 
@@ -124,8 +127,9 @@ class DetectionService {
 
   /// Replaces the built-in collector with a caller sink (nullptr
   /// restores the collector). Under ThreadPoolBackend the sink is
-  /// invoked from worker threads — it must be thread-safe. Set it
-  /// before traffic starts.
+  /// invoked from worker threads — it must be thread-safe. Under
+  /// RemoteBackend it runs on the thread calling ingest() or flush().
+  /// Set it before traffic starts.
   void set_detection_sink(DetectionSink* sink);
 
   /// Fleet-wide hooks, as on Engine but with packed SessionHandle ids.

@@ -137,28 +137,6 @@ Socket Socket::connect(const SocketAddress& address) {
   return adopt(fd);
 }
 
-void Socket::send_all(std::span<const std::byte> bytes) {
-  expects(valid(), "Socket::send_all: socket is closed");
-  const std::byte* data = bytes.data();
-  std::size_t remaining = bytes.size();
-#ifdef MSG_NOSIGNAL
-  constexpr int k_flags = MSG_NOSIGNAL;
-#else
-  constexpr int k_flags = 0;
-#endif
-  while (remaining > 0) {
-    const ssize_t sent = ::send(fd_, data, remaining, k_flags);
-    if (sent < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw_errno("Socket::send_all");
-    }
-    data += sent;
-    remaining -= static_cast<std::size_t>(sent);
-  }
-}
-
 std::size_t Socket::send_some(std::span<const std::byte> bytes,
                               bool* would_block) {
   expects(valid(), "Socket::send_some: socket is closed");
@@ -397,7 +375,6 @@ Socket::Socket(Socket&&) noexcept {}
 Socket& Socket::operator=(Socket&&) noexcept { return *this; }
 Socket Socket::adopt(int) { unsupported(); }
 Socket Socket::connect(const SocketAddress&) { unsupported(); }
-void Socket::send_all(std::span<const std::byte>) { unsupported(); }
 std::size_t Socket::send_some(std::span<const std::byte>, bool*) {
   unsupported();
 }

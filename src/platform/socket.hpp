@@ -69,12 +69,10 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Sends every byte of `bytes` (blocking, EINTR-safe, SIGPIPE
-  /// masked). Throws DataError when the peer is gone.
-  void send_all(std::span<const std::byte> bytes);
-  /// Sends what the socket accepts right now (for non-blocking event
-  /// loops). Returns the count written; 0 with `*would_block` set when
-  /// the send buffer is full. Throws DataError when the peer is gone.
+  /// Sends what the socket accepts right now (a blocking socket waits
+  /// until it accepts some). Returns the count written; 0 with
+  /// `*would_block` set when a non-blocking socket's send buffer is
+  /// full. Throws DataError when the peer is gone.
   std::size_t send_some(std::span<const std::byte> bytes,
                         bool* would_block = nullptr);
   /// Receives up to `out.size()` bytes. Returns the count actually

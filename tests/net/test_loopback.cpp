@@ -400,7 +400,7 @@ TEST_F(NetLoopback, GarbageBytesPoisonOnlyTheirOwnConnection) {
   {
     platform::Socket hostile = platform::Socket::connect(address);
     std::vector<std::byte> garbage(256, std::byte{0x5A});
-    hostile.send_all(garbage);
+    EXPECT_EQ(hostile.send_some(garbage), garbage.size());
     std::byte buffer[64];
     // The server drops the connection without replying: recv sees EOF.
     EXPECT_EQ(hostile.recv_some(buffer), 0u);

@@ -35,12 +35,13 @@ Checks (all scoped to src/):
    tests and benches end up calling. Tests call the `_into` form with a
    local dsp::Workspace.
 
-5. no-blocking-send-in-net — no `send_all(` call in src/net. A
-   ShardServer stops reading a connection whose queued output is over
-   its cap until the client reads, so a client blocked in a send that
-   cannot read deadlocks against it. Sends in src/net go through
-   `send_some` and, while the buffer is full, wait on
-   readable-or-writable and read.
+5. no-blocking-send-in-net — no `send_all(` call and no raw
+   `::send`/`::write` family syscall in src/net. A ShardServer stops
+   reading a connection whose queued output is over its cap until the
+   client reads, so a client blocked in a send that cannot read
+   deadlocks against it. Sends in src/net go through
+   `platform::Socket::send_some` and, while the buffer is full, wait
+   on readable-or-writable and read.
 
 Exit status 0 when clean; 1 with file:line diagnostics otherwise.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -69,7 +70,9 @@ LOOP_HEAD = re.compile(r"\b(for|while)\s*\(")
 # A function declaration: a return type (possibly qualified/templated,
 # with pointer/reference) followed by the declared name and its paren.
 DECLARATION = re.compile(r"[\w:>]\s*[*&]?\s+[*&]?(\w+)\s*\(")
-BLOCKING_SEND = re.compile(r"\bsend_all\s*\(")
+BLOCKING_SEND = re.compile(
+    r"\bsend_all\s*\(|::(send|sendto|sendmsg|write|writev)\s*\("
+)
 NOT_A_RETURN_TYPE = {"return", "else", "new", "throw", "co_return", "delete"}
 NAKED_LOCK = re.compile(
     r"\bstd::(mutex|condition_variable|lock_guard|unique_lock|scoped_lock"
@@ -256,10 +259,10 @@ def check_no_blocking_send(violations: list[str]) -> None:
                     rel = path.relative_to(REPO_ROOT)
                     violations.append(
                         f"{rel}:{lineno}: [no-blocking-send-in-net] "
-                        f"send_all() blocks without reading; a server "
+                        f"this send can block without reading; a server "
                         f"holding back a capped connection waits for this "
-                        f"side to read. Use send_some and read while the "
-                        f"send buffer is full"
+                        f"side to read. Use Socket::send_some and read "
+                        f"while the send buffer is full"
                     )
 
 
