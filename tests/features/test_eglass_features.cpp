@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/random.hpp"
+#include "common/statistics.hpp"
+#include "dsp/spectrum.hpp"
+#include "dsp/wavelet.hpp"
 #include "dsp/workspace.hpp"
 #include "features/extractor.hpp"
 #include "sim/cohort.hpp"
@@ -129,6 +140,135 @@ TEST(EglassFeatures, RejectsTinyWindows) {
   ASSERT_EQ(out.size(), 54u);
   for (const Real v : out) {
     EXPECT_TRUE(std::isfinite(v));
+  }
+}
+
+/// One channel's 54 descriptors, built from the public per-statistic
+/// calls one at a time (a full sort for the IQR): the oracle the fused
+/// passes in extract_into must reproduce bit for bit.
+RealVector reference_channel_row(std::span<const Real> x, Real sample_rate_hz) {
+  RealVector row;
+  const Real mu = stats::mean(x);
+  row.push_back(mu);
+  row.push_back(stats::variance(x));
+  row.push_back(stats::skewness(x));
+  row.push_back(stats::kurtosis_excess(x));
+  row.push_back(stats::rms(x));
+  row.push_back(stats::line_length(x));
+  row.push_back(static_cast<Real>(stats::zero_crossings(x)));
+  RealVector d1;
+  RealVector d2;
+  const stats::Hjorth hjorth = stats::hjorth_parameters(x, d1, d2);
+  row.push_back(hjorth.mobility);
+  row.push_back(hjorth.complexity);
+  row.push_back(stats::max(x) - stats::min(x));
+  Real mean_abs = 0.0;
+  for (const Real v : x) {
+    mean_abs += std::abs(v - mu);
+  }
+  row.push_back(mean_abs / static_cast<Real>(x.size()));
+  RealVector sorted(x.begin(), x.end());
+  std::sort(sorted.begin(), sorted.end());
+  row.push_back(stats::quantile_from_sorted(sorted, 0.75) -
+                stats::quantile_from_sorted(sorted, 0.25));
+
+  dsp::Workspace ws;
+  dsp::Psd psd;
+  dsp::periodogram_into(x, sample_rate_hz, ws, psd);
+  row.push_back(dsp::total_power(psd));
+  const dsp::Band bands[] = {dsp::bands::kDelta, dsp::bands::kTheta,
+                             dsp::bands::kAlpha, dsp::bands::kBeta,
+                             dsp::bands::kGamma};
+  for (const dsp::Band band : bands) {
+    row.push_back(dsp::band_power(psd, band));
+  }
+  for (const dsp::Band band : bands) {
+    row.push_back(dsp::relative_band_power(psd, band));
+  }
+  row.push_back(dsp::spectral_edge_frequency(psd, 0.9));
+  row.push_back(dsp::peak_frequency(psd));
+  row.push_back(dsp::spectral_entropy(psd));
+
+  const dsp::Wavelet db4 = dsp::Wavelet::daubechies(4);
+  dsp::WaveletDecomposition dec;
+  dsp::wavedec_into(x, db4, 7, ws, dec, dsp::ExtensionMode::kPeriodic);
+  RealVector energy;
+  dsp::wavelet_energy_distribution_into(dec, energy);
+  for (std::size_t level = 1; level <= 7; ++level) {
+    const RealVector& d = dec.detail_at_level(level);
+    Real level_abs = 0.0;
+    for (const Real v : d) {
+      level_abs += std::abs(v);
+    }
+    row.push_back(level_abs / static_cast<Real>(d.size()));
+    row.push_back(stats::stddev(d));
+    row.push_back(energy[level - 1]);
+    row.push_back(stats::line_length(d));
+  }
+  return row;
+}
+
+/// Windows that stress each accumulator: plain noise, AR(1) EEG-like
+/// drift, a constant, samples exactly at the mean, ties at the quartile
+/// ranks, and a large DC offset.
+std::vector<std::pair<std::string, RealVector>> reference_windows(
+    std::size_t n) {
+  std::vector<std::pair<std::string, RealVector>> windows;
+  Rng rng(1000 + n);
+  RealVector noise(n);
+  for (auto& v : noise) {
+    v = rng.normal();
+  }
+  windows.emplace_back("normal noise", noise);
+  RealVector ar(n);
+  Real state = 0.0;
+  for (auto& v : ar) {
+    state = 0.95 * state + rng.normal(0.0, 12.0);
+    v = state;
+  }
+  windows.emplace_back("AR(1)", ar);
+  windows.emplace_back("constant", RealVector(n, 5.0));
+  RealVector on_mean(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // -1, 0, 1, 0, ... with a trailing 0 when needed: the mean is
+    // exactly 0 and every other sample sits on it.
+    on_mean[i] = i % 2 == 0 ? 0.0 : (i % 4 == 1 ? -1.0 : 1.0);
+  }
+  if (n % 4 == 2) {
+    on_mean[n - 1] = 0.0;
+  }
+  windows.emplace_back("samples on the mean", on_mean);
+  RealVector ties(n);
+  for (auto& v : ties) {
+    v = std::round(rng.normal() * 2.0) / 2.0;
+  }
+  windows.emplace_back("tied quartiles", ties);
+  RealVector offset(noise);
+  for (auto& v : offset) {
+    v += 1e6;
+  }
+  windows.emplace_back("DC offset 1e6", offset);
+  return windows;
+}
+
+TEST(EglassFeatures, RowMatchesPerStatisticReference) {
+  const EglassFeatureExtractor extractor(1);
+  const std::vector<std::string> names =
+      EglassFeatureExtractor::per_channel_names();
+  dsp::Workspace ws;  // reused across lengths, as a session reuses it
+  RealVector row;
+  for (const std::size_t n : {65u, 256u, 768u, 1000u, 1024u, 1025u}) {
+    for (const auto& [name, x] : reference_windows(n)) {
+      const RealVector expected = reference_channel_row(x, 256.0);
+      extractor.extract_into({x}, 256.0, row, ws);
+      ASSERT_EQ(row.size(), expected.size());
+      for (std::size_t f = 0; f < row.size(); ++f) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(row[f]),
+                  std::bit_cast<std::uint64_t>(expected[f]))
+            << name << ", " << n << " samples: " << names[f] << " is "
+            << row[f] << ", reference " << expected[f];
+      }
+    }
   }
 }
 
