@@ -114,7 +114,8 @@ class DetectionService {
   /// Closes one session: its engine slot is tombstoned (the id is never
   /// reused and session_count() still counts it), pending undelivered
   /// windows are dropped (flush first to keep them), and later ingest()
-  /// calls for the handle silently discard their chunks — chunks
+  /// calls for the handle silently discard their chunks, on every
+  /// backend (a remote one does not send them) — chunks
   /// already queued on a shard worker race the close benignly. Control
   /// accessors (session(), swap_model(), ...) throw for a closed
   /// handle. A remote backend mirrors the close to its server.

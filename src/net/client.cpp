@@ -242,9 +242,10 @@ RemoteBackend::~RemoteBackend() { stop(); }
 
 void RemoteBackend::start(std::vector<std::unique_ptr<engine::Shard>>& shards,
                           engine::DetectionSink& sink) {
-  (void)shards;  // the mirror Engines validate locally but never classify
+  // The mirror Engines validate locally but never classify.
   sink_ = &sink;
   MutexLock lock(mutex_);
+  closed_.assign(shards.size(), {});
   client_.connect(address_);
 }
 
@@ -262,6 +263,13 @@ void RemoteBackend::on_session_created(std::uint32_t shard_index,
   const std::uint64_t client_id =
       engine::SessionHandle::pack(shard_index, local_id).value;
   MutexLock lock(mutex_);
+  // A failed open pops the local slot and the next create reuses its id,
+  // so the flag is (re)set here, not only appended.
+  std::vector<bool>& closed = closed_[shard_index];
+  if (closed.size() <= local_id) {
+    closed.resize(local_id + 1);
+  }
+  closed[local_id] = false;
   client_.open_session(client_id, routing_key, config);
 }
 
@@ -277,6 +285,7 @@ void RemoteBackend::close_session(engine::Shard& shard,
   const std::uint64_t client_id =
       engine::SessionHandle::pack(shard.index, local_id).value;
   MutexLock lock(mutex_);
+  closed_[shard.index][local_id] = true;
   client_.close_session(client_id);
 }
 
@@ -285,6 +294,9 @@ void RemoteBackend::ingest(engine::Shard& shard, std::uint64_t local_id,
   const std::uint64_t client_id =
       engine::SessionHandle::pack(shard.index, local_id).value;
   MutexLock lock(mutex_);
+  if (closed_[shard.index][local_id]) {
+    return;  // as Engine::ingest: a closed session's chunks drain away
+  }
   client_.ingest(client_id, chunk);
   scratch_.clear();
   client_.take_detections(scratch_);

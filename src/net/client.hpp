@@ -191,7 +191,8 @@ class RemoteBackend final : public engine::ExecutionBackend {
                           std::uint64_t routing_key,
                           const engine::SessionConfig& config) override;
   /// Tombstones the local mirror slot, then retires the server-side
-  /// session so neither process leaks the slot.
+  /// session so neither process leaks the slot. Later ingest() calls for
+  /// the session discard their chunks without sending them.
   void close_session(engine::Shard& shard, std::uint64_t local_id) override;
 
   /// Control-plane extras addressed to the server process (the local
@@ -211,6 +212,10 @@ class RemoteBackend final : public engine::ExecutionBackend {
   mutable Mutex mutex_;
   ShardClient client_ ESL_GUARDED_BY(mutex_);
   std::vector<engine::Detection> scratch_ ESL_GUARDED_BY(mutex_);
+  /// Per shard, one flag per local session id, set at close: ingest
+  /// drops a closed session's chunks here, as Engine::ingest does in
+  /// process, instead of sending them for the server to refuse.
+  std::vector<std::vector<bool>> closed_ ESL_GUARDED_BY(mutex_);
 };
 
 }  // namespace esl::net

@@ -91,6 +91,45 @@ platform::SocketAddress loopback_address() {
   return platform::SocketAddress::parse("unix:" + path);
 }
 
+/// Forwards to a RemoteBackend, but hands one session's chunks on with
+/// only their first channel: a chunk the client service accepted and
+/// only the server refuses.
+class ChannelNarrowingBackend final : public engine::ExecutionBackend {
+ public:
+  explicit ChannelNarrowingBackend(std::unique_ptr<RemoteBackend> inner)
+      : inner_(std::move(inner)) {}
+
+  void narrow(SessionHandle handle) { narrowed_ = handle; }
+
+  const char* name() const override { return inner_->name(); }
+  void start(std::vector<std::unique_ptr<engine::Shard>>& shards,
+             engine::DetectionSink& sink) override {
+    inner_->start(shards, sink);
+  }
+  void stop() override { inner_->stop(); }
+  void ingest(engine::Shard& shard, std::uint64_t local_id,
+              const std::vector<std::span<const Real>>& chunk) override {
+    if (SessionHandle::pack(shard.index, local_id) == narrowed_) {
+      inner_->ingest(shard, local_id, {chunk.front()});
+      return;
+    }
+    inner_->ingest(shard, local_id, chunk);
+  }
+  void on_session_created(std::uint32_t shard_index, std::uint64_t local_id,
+                          std::uint64_t routing_key,
+                          const engine::SessionConfig& config) override {
+    inner_->on_session_created(shard_index, local_id, routing_key, config);
+  }
+  void flush() override { inner_->flush(); }
+  void close_session(engine::Shard& shard, std::uint64_t local_id) override {
+    inner_->close_session(shard, local_id);
+  }
+
+ private:
+  std::unique_ptr<RemoteBackend> inner_;
+  SessionHandle narrowed_{~0ull};
+};
+
 /// Fleet detector + mixed seizure/background workload, sized down from
 /// the engine suite (the wire adds a syscall-bound loop per chunk).
 class NetLoopback : public ::testing::Test {
@@ -767,12 +806,19 @@ TEST_F(NetLoopback, RefusedChunkSurfacesTypedFromIngestOrFlush) {
   // connection keeps serving.
   const platform::SocketAddress address = loopback_address();
   auto server = make_server(address, 1, false);
-  auto service = make_remote_service(address, 1);
+  // The refused session's chunks reach the wire with one channel: past
+  // the client service's checks (which the backend trusts), so only the
+  // server refuses them.
+  auto narrowing = std::make_unique<ChannelNarrowingBackend>(
+      std::make_unique<RemoteBackend>(address));
+  ChannelNarrowingBackend& backend = *narrowing;
+  ServiceConfig config;
+  config.engine = screened_config();
+  auto service = std::make_unique<DetectionService>(*fleet_, config,
+                                                    std::move(narrowing));
   const SessionHandle refused = service->create_session();
   const SessionHandle served = service->create_session();
-  // The client service takes a chunk for a closed session (its slot is a
-  // tombstone); the server no longer routes it and refuses it.
-  service->close_session(refused);
+  backend.narrow(refused);
 
   std::size_t refusals = 0;
   const auto count_refusal = [&](const auto& call) {
@@ -810,6 +856,53 @@ TEST_F(NetLoopback, RefusedChunkSurfacesTypedFromIngestOrFlush) {
     EXPECT_EQ(drained[w].window_index, w);
   }
   service->stop();
+  server->stop();
+}
+
+TEST_F(NetLoopback, IngestAfterCloseIsSilentOnEveryBackend) {
+  // DetectionService::close_session promises that later ingest() calls
+  // for the handle discard their chunks. In process, Engine::ingest drops
+  // them; the remote backend must not send them for the server to
+  // refuse. Several batches' worth of chunks go to the closed session
+  // between the open one's, and nothing throws on any backend.
+  const platform::SocketAddress address = loopback_address();
+  auto server = make_server(address, 1, false);
+  for (const char* backend : {"inline", "threads", "remote"}) {
+    SCOPED_TRACE(backend);
+    std::unique_ptr<DetectionService> service;
+    if (std::string(backend) == "remote") {
+      service = make_remote_service(address, 1);
+    } else {
+      ServiceConfig config;
+      config.engine = screened_config();
+      service = std::make_unique<DetectionService>(
+          *fleet_, config,
+          std::string(backend) == "threads"
+              ? std::make_unique<engine::ThreadPoolBackend>()
+              : nullptr);
+    }
+    const SessionHandle closed = service->create_session();
+    const SessionHandle open = service->create_session();
+    service->close_session(closed);
+    const signal::EegRecord& record = record_for(0);
+
+    constexpr std::size_t k_rounds = 8;
+    for (std::size_t round = 0; round < k_rounds; ++round) {
+      const auto views = chunk_views(record, round * k_chunk, k_chunk);
+      EXPECT_NO_THROW(service->ingest(closed, views));
+      EXPECT_NO_THROW(service->ingest(open, views));
+    }
+    EXPECT_NO_THROW(service->flush());
+    std::vector<Detection> drained;
+    service->drain(drained);
+    const std::size_t expected = (k_rounds * k_chunk - 1024) / 256 + 1;
+    ASSERT_EQ(drained.size(), expected);
+    for (std::size_t w = 0; w < expected; ++w) {
+      EXPECT_EQ(drained[w].session_id, open.value);
+      EXPECT_EQ(drained[w].window_index, w);
+    }
+    service->stop();
+  }
   server->stop();
 }
 
