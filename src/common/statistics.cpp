@@ -193,12 +193,6 @@ Real RunningStats::stddev() const {
   return std::sqrt(variance());
 }
 
-Hjorth hjorth_parameters(std::span<const Real> values) {
-  RealVector d1;
-  RealVector d2;
-  return hjorth_parameters(values, d1, d2);
-}
-
 Hjorth hjorth_parameters(std::span<const Real> values,
                          RealVector& derivative_scratch,
                          RealVector& second_derivative_scratch) {

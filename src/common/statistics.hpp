@@ -85,13 +85,10 @@ struct Hjorth {
   Real complexity = 0.0;
 };
 
-/// Computes all three Hjorth parameters in one pass over the signal.
-/// Requires at least three samples.
-Hjorth hjorth_parameters(std::span<const Real> values);
-
-/// hjorth_parameters() with caller-owned scratch for the first/second
-/// discrete-derivative series (resized, capacity retained) — bit-identical
-/// results with zero steady-state allocation for fixed-length windows.
+/// All three Hjorth parameters of a signal of at least three samples.
+/// The first/second discrete-derivative series go to caller-owned
+/// scratch (resized, capacity retained), so fixed-length windows cause
+/// no steady-state allocation.
 Hjorth hjorth_parameters(std::span<const Real> values,
                          RealVector& derivative_scratch,
                          RealVector& second_derivative_scratch);

@@ -64,13 +64,17 @@ class Workspace {
 
   // ----------------------------------------------- feature-layer scratch
   // General-purpose buffers for scratch-aware overloads outside dsp::
-  // (stats::quantile_from_sorted sorting, stats::hjorth_parameters
-  // derivative series, entropy histogram/ordinal-pattern counting).
-  // Contents are unspecified between calls.
+  // (order statistics, stats::hjorth_parameters derivative series,
+  // entropy histogram/ordinal-pattern counting). Contents are
+  // unspecified between calls.
 
-  /// Order-statistics scratch: copy + sort a window here (IQR feature).
+  /// Order-statistics scratch: the e-Glass IQR selects its quartiles in
+  /// a copy of the window here (a caller of stats::quantile_from_sorted
+  /// may sort into it).
   RealVector sorted;
-  /// First/second discrete-derivative series for Hjorth parameters.
+  /// First/second discrete-derivative series for
+  /// stats::hjorth_parameters. The e-Glass extractor takes Hjorth from
+  /// its fused passes and does not use them.
   RealVector derivative_a;
   RealVector derivative_b;
   /// Histogram / ordinal-pattern count scratch (entropy overloads).

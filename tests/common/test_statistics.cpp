@@ -186,14 +186,21 @@ TEST(RunningStats, ThrowsBeforeFirstSample) {
   EXPECT_THROW(acc.variance(), InvalidArgument);
 }
 
+/// hjorth_parameters with throwaway derivative scratch.
+Hjorth hjorth_of(std::span<const Real> values) {
+  RealVector d1;
+  RealVector d2;
+  return hjorth_parameters(values, d1, d2);
+}
+
 TEST(Hjorth, ActivityIsVariance) {
-  const Hjorth h = hjorth_parameters(k_simple);
+  const Hjorth h = hjorth_of(k_simple);
   EXPECT_DOUBLE_EQ(h.activity, variance(k_simple));
 }
 
 TEST(Hjorth, LinearSignalHasZeroComplexity) {
   // First derivative constant -> second derivative zero.
-  const Hjorth h = hjorth_parameters(k_simple);
+  const Hjorth h = hjorth_of(k_simple);
   EXPECT_DOUBLE_EQ(h.complexity, 0.0);
 }
 
@@ -205,13 +212,12 @@ TEST(Hjorth, FasterSignalHasHigherMobility) {
     slow.push_back(std::sin(2.0 * pi * 1.0 * i / 256.0));
     fast.push_back(std::sin(2.0 * pi * 16.0 * i / 256.0));
   }
-  EXPECT_GT(hjorth_parameters(fast).mobility,
-            hjorth_parameters(slow).mobility);
+  EXPECT_GT(hjorth_of(fast).mobility, hjorth_of(slow).mobility);
 }
 
 TEST(Hjorth, NeedsThreeSamples) {
   const RealVector v = {1.0, 2.0};
-  EXPECT_THROW(hjorth_parameters(v), InvalidArgument);
+  EXPECT_THROW(hjorth_of(v), InvalidArgument);
 }
 
 }  // namespace

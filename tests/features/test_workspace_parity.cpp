@@ -88,19 +88,6 @@ TEST(WorkspaceParity, QuantileFromSortedMatchesQuantile) {
   }
 }
 
-TEST(WorkspaceParity, HjorthScratchOverloadMatches) {
-  RealVector d1;
-  RealVector d2;
-  for (const std::size_t n : {3u, 64u, 1024u}) {
-    const RealVector x = noise(n, 5 * n);
-    const stats::Hjorth expected = stats::hjorth_parameters(x);
-    const stats::Hjorth actual = stats::hjorth_parameters(x, d1, d2);
-    ASSERT_EQ(expected.activity, actual.activity);
-    ASSERT_EQ(expected.mobility, actual.mobility);
-    ASSERT_EQ(expected.complexity, actual.complexity);
-  }
-}
-
 TEST(WorkspaceParity, PermutationEntropyScratchOverloadMatches) {
   std::vector<std::size_t> scratch;
   // Short signals take the sparse path at high orders, long ones the
