@@ -11,8 +11,9 @@
 // trigger error propagation), hostile clients (bad configs, unknown
 // sessions, garbage bytes), a concurrent-ingest run that TSan checks
 // end to end (client mutex, server event loop, shard workers), delivery
-// of detections before the flush, and the server's cap on output
-// queued for a client that does not read.
+// of detections before the flush, the server's cap on output queued for
+// a client that does not read, and ingest after close being silent on
+// every backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
