@@ -228,14 +228,14 @@ std::vector<std::pair<std::string, RealVector>> reference_windows(
   }
   windows.emplace_back("AR(1)", ar);
   windows.emplace_back("constant", RealVector(n, 5.0));
+  // 0, -1, 0, 1, ...: the mean is exactly 0 and every other sample sits
+  // on it (an unpaired last -1 becomes 0).
   RealVector on_mean(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // -1, 0, 1, 0, ... with a trailing 0 when needed: the mean is
-    // exactly 0 and every other sample sits on it.
     on_mean[i] = i % 2 == 0 ? 0.0 : (i % 4 == 1 ? -1.0 : 1.0);
   }
-  if (n % 4 == 2) {
-    on_mean[n - 1] = 0.0;
+  if ((n / 2) % 2 == 1) {
+    on_mean[2 * (n / 2) - 1] = 0.0;
   }
   windows.emplace_back("samples on the mean", on_mean);
   RealVector ties(n);
