@@ -7,6 +7,7 @@
 // seizure-cluster members. Algorithm 1 should localize substantially
 // better — that gap is the paper's motivation for a purpose-built
 // distance scheme.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -104,10 +105,11 @@ int main() {
   }
   std::fprintf(stderr, "\n");
 
-  const auto row = [](const char* name, const RealVector& deltas) {
+  const auto row = [](const char* name, RealVector deltas) {
+    std::sort(deltas.begin(), deltas.end());
     std::printf("%-22s %-16.2f %-16.2f %-16.2f\n", name,
                 stats::mean(deltas), stats::median(deltas),
-                stats::quantile(deltas, 0.9));
+                stats::quantile_from_sorted(deltas, 0.9));
   };
   std::printf("%-22s %-16s %-16s %-16s\n", "method", "mean delta (s)",
               "median delta (s)", "p90 delta (s)");

@@ -3,11 +3,12 @@
 //
 // `measure` times one closure ("one window of work per call") and its
 // allocation rate via the counting operator new each bench binary
-// defines with ESL_DEFINE_COUNTING_ALLOCATOR; micro_inference and
-// micro_dsp use it. micro_dsp reports its rows as Comparison pairs — the
-// same workspace transform with the kernels:: dispatch forced to scalar
-// ("before") and at the host's widest SIMD level ("after") — through the
-// table and JSON writers below (the BENCH_dsp.json schema).
+// defines with ESL_DEFINE_COUNTING_ALLOCATOR; micro_dsp uses it, and
+// micro_queue shares the `--json` main below. micro_dsp reports its rows
+// as Comparison pairs — the same workspace transform with the kernels::
+// dispatch forced to scalar ("before") and at the host's widest SIMD
+// level ("after") — through the table and JSON writers below (the
+// BENCH_dsp.json schema).
 #pragma once
 
 #include <benchmark/benchmark.h>

@@ -98,8 +98,10 @@ void bm_permutation_entropy(benchmark::State& state) {
   const auto order = static_cast<std::size_t>(state.range(0));
   // Paper geometry: PE runs on tiny DWT levels (8-16 coefficients).
   const RealVector x = random_signal(16, 6);
+  std::vector<std::size_t> counts;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(entropy::permutation_entropy(x, order));
+    benchmark::DoNotOptimize(
+        entropy::permutation_entropy(x, order, 1, counts));
   }
 }
 BENCHMARK(bm_permutation_entropy)->Arg(5)->Arg(7);

@@ -5,8 +5,8 @@
 // other examples), mounts an optional model registry directory, then
 // listens for net/wire.hpp clients until SIGINT/SIGTERM. Any number of
 // clients can connect concurrently — a RemoteBackend-driven
-// DetectionService (see net/client.hpp), the engine_throughput bench
-// in --connect mode, or another process speaking the frame protocol.
+// DetectionService (see net/client.hpp) or another process speaking the
+// frame protocol.
 //
 //   ./shard_server [--listen ADDR] [--shards N]
 //                  [--backend inline|threads] [--registry DIR]
@@ -14,9 +14,12 @@
 //   ADDR is "unix:PATH" or "tcp:HOST:PORT" (port 0 = ephemeral, the
 //   resolved address is printed). Default: tcp:127.0.0.1:0.
 //
-// Try it end to end with two terminals:
+// Serve on a fixed port:
 //   ./shard_server --listen tcp:127.0.0.1:7700 --backend threads
-//   ./engine_throughput --connect tcp:127.0.0.1:7700
+// then build the client process's DetectionService on
+//   std::make_unique<net::RemoteBackend>(
+//       platform::SocketAddress::parse("tcp:127.0.0.1:7700"))
+// (README.md, "Cross-process serving", shows the whole client).
 #include <atomic>
 #include <chrono>
 #include <csignal>

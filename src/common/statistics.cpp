@@ -54,16 +54,10 @@ Real median(std::span<const Real> values) {
   return 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
 }
 
-Real quantile(std::span<const Real> values, Real q) {
-  expects(!values.empty(), "stats::quantile: empty input");
-  std::vector<Real> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  return quantile_from_sorted(sorted, q);
-}
-
 Real quantile_from_sorted(std::span<const Real> sorted_values, Real q) {
-  expects(!sorted_values.empty(), "stats::quantile: empty input");
-  expects(q >= 0.0 && q <= 1.0, "stats::quantile: q must lie in [0, 1]");
+  expects(!sorted_values.empty(), "stats::quantile_from_sorted: empty input");
+  expects(q >= 0.0 && q <= 1.0,
+          "stats::quantile_from_sorted: q must lie in [0, 1]");
   if (sorted_values.size() == 1) {
     return sorted_values.front();
   }

@@ -24,12 +24,9 @@ Real stddev(std::span<const Real> values);
 /// Median (average of the two central order statistics for even n).
 Real median(std::span<const Real> values);
 
-/// Linear-interpolated quantile, q in [0, 1].
-Real quantile(std::span<const Real> values, Real q);
-
-/// quantile() over values already sorted ascending (same interpolation,
-/// bit-identical). Lets a caller sort into a reused scratch buffer once
-/// and read several quantiles (e.g. the IQR) without re-copying.
+/// Linear-interpolated quantile, q in [0, 1], of values already sorted
+/// ascending: interpolates between ranks floor(q(n-1)) and the next one.
+/// The caller sorts (into reused scratch, once for several quantiles).
 Real quantile_from_sorted(std::span<const Real> sorted_values, Real q);
 
 /// Geometric mean; all values must be positive. This is the only correct

@@ -32,7 +32,8 @@ Real fit_stage1_threshold(const ml::Dataset& train, Real sensitivity,
       positive_values.push_back(train.x(i, feature));
     }
   }
-  return stats::quantile(positive_values, 1.0 - sensitivity);
+  std::sort(positive_values.begin(), positive_values.end());
+  return stats::quantile_from_sorted(positive_values, 1.0 - sensitivity);
 }
 
 void HierarchicalDetector::fit(const ml::Dataset& train, std::uint64_t seed) {

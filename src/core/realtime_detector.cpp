@@ -1,7 +1,5 @@
 #include "core/realtime_detector.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "features/extractor.hpp"
 
@@ -74,25 +72,6 @@ void RealtimeDetector::fit(const ml::Dataset& train, std::uint64_t seed) {
 std::shared_ptr<const ml::CompiledForest> RealtimeDetector::compile() const {
   expects(is_fitted(), "RealtimeDetector::compile: not fitted");
   return std::make_shared<const ml::CompiledForest>(*forest_, row_scaler_);
-}
-
-void RealtimeDetector::scale_rows_in_place(Matrix& raw_rows) const {
-  expects(scaler_.has_value(),
-          "RealtimeDetector::scale_rows_in_place: not fitted");
-  // RowScaler::apply is the one row-major z-score implementation (shared
-  // with the deployable artifacts); it validates the row width and stays
-  // bit-identical to the offline column-major path.
-  row_scaler_.apply(raw_rows);
-}
-
-int RealtimeDetector::predict_row(std::span<const Real> raw_row,
-                                  RealVector& scratch) const {
-  expects(is_fitted(), "RealtimeDetector::predict_row: not fitted");
-  expects(raw_row.size() == scaler_->size(),
-          "RealtimeDetector::predict_row: row width mismatch");
-  scratch.resize(raw_row.size());
-  row_scaler_.apply_row(raw_row, scratch);
-  return forest_->predict(scratch);
 }
 
 std::vector<int> RealtimeDetector::predict_windows(

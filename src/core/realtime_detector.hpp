@@ -40,15 +40,15 @@ ml::Dataset build_window_dataset(const signal::EegRecord& record,
 /// The trainable detector.
 ///
 /// Thread safety: fit() is not synchronized, but once fitted the object
-/// is logically immutable — every const method (predict_row,
-/// predict_windows, scale_rows_in_place, forest() traversal, evaluate,
-/// raises_alarm) only reads the trained state and writes caller-provided
-/// scratch, with no mutable members or internal caching. A fitted
-/// detector may therefore be shared read-only across engine shards and
-/// their worker threads (the DetectionService hands one fleet model to
-/// every shard). Re-fitting while other threads predict is a data race;
-/// train a fresh detector and swap it in between polls instead — the
-/// engine's personalization path does exactly this under its shard lock.
+/// is logically immutable — every const method (predict_windows,
+/// model(), compile(), forest() traversal, evaluate, raises_alarm) only
+/// reads the trained state, with no mutable members or internal
+/// caching. A fitted detector may therefore be shared read-only across
+/// engine shards and their worker threads (the DetectionService hands
+/// one fleet model to every shard). Re-fitting while other threads
+/// predict is a data race; train a fresh detector and swap it in between
+/// polls instead — the engine's personalization path does exactly this
+/// under its shard lock.
 class RealtimeDetector {
  public:
   explicit RealtimeDetector(RealtimeConfig config = {});
@@ -60,17 +60,6 @@ class RealtimeDetector {
 
   /// Per-window hard labels for a record.
   std::vector<int> predict_windows(const signal::EegRecord& record) const;
-
-  /// Streaming single-window path: z-scores one raw e-Glass row into
-  /// `scratch` (reused by the caller, no allocation once warm) and
-  /// classifies it.
-  int predict_row(std::span<const Real> raw_row, RealVector& scratch) const;
-
-  /// z-scores raw feature rows in place with the fitted scaler; the
-  /// engine uses this on its reused batch scratch matrix before running
-  /// forest().predict_all_into on it (bit-identical to predict_row
-  /// per row).
-  void scale_rows_in_place(Matrix& raw_rows) const;
 
   const ml::RandomForest& forest() const { return *forest_; }
 
@@ -109,9 +98,8 @@ class RealtimeDetector {
   /// immutable; never null (unfitted before the first fit).
   std::shared_ptr<const ml::RandomForest> forest_;
   std::optional<features::ColumnStats> scaler_;
-  /// Row-major scaling twin of scaler_ (same values), shared with the
-  /// deployable artifacts; the single z-score implementation all
-  /// streaming paths go through.
+  /// Row-major scaling twin of scaler_ (same values), baked into the
+  /// deployable artifacts that model() and compile() hand out.
   ml::RowScaler row_scaler_;
   std::shared_ptr<const ml::InferenceModel> model_;  // rebuilt by fit()
 };

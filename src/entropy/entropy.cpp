@@ -67,13 +67,6 @@ Real tsallis(std::span<const Real> probabilities, Real q) {
 }
 
 Real renyi_of_signal(std::span<const Real> signal, Real alpha,
-                     std::size_t bins) {
-  std::vector<std::size_t> counts;
-  RealVector probabilities;
-  return renyi_of_signal(signal, alpha, bins, counts, probabilities);
-}
-
-Real renyi_of_signal(std::span<const Real> signal, Real alpha,
                      std::size_t bins,
                      std::vector<std::size_t>& count_scratch,
                      RealVector& probability_scratch) {

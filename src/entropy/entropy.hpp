@@ -25,13 +25,9 @@ Real renyi(std::span<const Real> probabilities, Real alpha);
 Real tsallis(std::span<const Real> probabilities, Real q);
 
 /// Rényi entropy of a signal using a `bins`-bin histogram estimate.
-/// This is the "Rényi entropy of level-k DWT coefficients" feature.
-Real renyi_of_signal(std::span<const Real> signal, Real alpha,
-                     std::size_t bins = 16);
-
-/// renyi_of_signal() with caller-owned histogram scratch (bin counts and
-/// probability mass; resized, capacity retained) — bit-identical results
-/// with zero steady-state allocation.
+/// This is the "Rényi entropy of level-k DWT coefficients" feature. The
+/// histogram scratch (bin counts and probability mass; resized, capacity
+/// retained) is caller-owned, so a warm call allocates nothing.
 Real renyi_of_signal(std::span<const Real> signal, Real alpha,
                      std::size_t bins,
                      std::vector<std::size_t>& count_scratch,

@@ -19,7 +19,7 @@ struct HistogramRange {
 /// zeros, capacity retained) over equal-width bins spanning
 /// [min(values), max(values)]; a constant signal collapses into bin 0.
 /// Returns the covered range. Both the Histogram class and the
-/// scratch-based entropy overloads delegate here, so the binning
+/// scratch-taking entropy functions delegate here, so the binning
 /// convention cannot drift between them.
 HistogramRange histogram_counts_into(std::span<const Real> values,
                                      std::size_t bins,

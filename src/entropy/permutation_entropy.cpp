@@ -80,12 +80,6 @@ RealVector ordinal_pattern_distribution(std::span<const Real> signal,
 }
 
 Real permutation_entropy(std::span<const Real> signal, std::size_t order,
-                         std::size_t delay) {
-  std::vector<std::size_t> counts;
-  return permutation_entropy(signal, order, delay, counts);
-}
-
-Real permutation_entropy(std::span<const Real> signal, std::size_t order,
                          std::size_t delay,
                          std::vector<std::size_t>& count_scratch) {
   expects(order >= 2 && order <= k_max_permutation_order,
@@ -147,14 +141,6 @@ Real permutation_entropy(std::span<const Real> signal, std::size_t order,
     }
   }
   return h;
-}
-
-Real permutation_entropy_normalized(std::span<const Real> signal,
-                                    std::size_t order, std::size_t delay) {
-  expects(order >= 2 && order <= k_max_permutation_order,
-          "permutation_entropy_normalized: order must lie in [2, 10]");
-  const Real h = permutation_entropy(signal, order, delay);
-  return h / std::log(static_cast<Real>(factorial(order)));
 }
 
 }  // namespace esl::entropy

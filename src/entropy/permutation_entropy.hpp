@@ -26,21 +26,14 @@ RealVector ordinal_pattern_distribution(std::span<const Real> signal,
                                         std::size_t order,
                                         std::size_t delay = 1);
 
-/// Permutation entropy in nats. If the signal is shorter than one
-/// embedding vector the entropy is defined as 0 (no information), which
-/// keeps the feature extractor total on very short DWT levels.
-Real permutation_entropy(std::span<const Real> signal, std::size_t order,
-                         std::size_t delay = 1);
-
-/// permutation_entropy() with caller-owned count scratch (pattern indices
-/// on the sparse path, histogram bins on the dense path; resized, capacity
-/// retained) — bit-identical results with zero steady-state allocation.
+/// Permutation entropy in nats, at most log(order!). If the signal is
+/// shorter than one embedding vector the entropy is defined as 0 (no
+/// information), which keeps the feature extractor total on very short
+/// DWT levels. `count_scratch` is caller-owned (pattern indices on the
+/// sparse path, histogram bins on the dense path; resized, capacity
+/// retained), so a warm call allocates nothing.
 Real permutation_entropy(std::span<const Real> signal, std::size_t order,
                          std::size_t delay,
                          std::vector<std::size_t>& count_scratch);
-
-/// PE normalized by log(order!), in [0, 1].
-Real permutation_entropy_normalized(std::span<const Real> signal,
-                                    std::size_t order, std::size_t delay = 1);
 
 }  // namespace esl::entropy

@@ -27,16 +27,6 @@ void RowScaler::apply(Matrix& raw_rows) const {
   scale_rows(mean, stddev, raw_rows);
 }
 
-void RowScaler::apply_row(std::span<const Real> raw,
-                          std::span<Real> out) const {
-  const Real* m = mean.data();
-  const Real* s = stddev.data();
-  for (std::size_t f = 0; f < raw.size(); ++f) {
-    const Real centered = raw[f] - m[f];
-    out[f] = s[f] > 0.0 ? centered / s[f] : 0.0;
-  }
-}
-
 ForestModel::ForestModel(std::shared_ptr<const RandomForest> forest,
                          RowScaler scaler)
     : forest_(std::move(forest)), scaler_(std::move(scaler)) {

@@ -19,11 +19,9 @@
 
 namespace esl::ml {
 
-/// Per-feature z-score parameters baked into a deployable model. This is
-/// the single row-major scaling implementation — the detector's
-/// scale_rows_in_place / predict_row delegate here — and each element
-/// gets the exact features::apply_zscore arithmetic, so raw rows scaled
-/// by any path classify bit-identically to the offline column-major one.
+/// Per-feature z-score parameters baked into a deployable model. Each
+/// element gets the exact features::apply_zscore arithmetic, so raw rows
+/// scaled here classify bit-identically to the offline column-major path.
 struct RowScaler {
   RealVector mean;
   RealVector stddev;
@@ -31,8 +29,6 @@ struct RowScaler {
   bool empty() const { return mean.empty(); }
   /// z-scores raw feature rows in place (no-op when empty()).
   void apply(Matrix& raw_rows) const;
-  /// z-scores one raw row into `out` (out.size() == raw.size()).
-  void apply_row(std::span<const Real> raw, std::span<Real> out) const;
 };
 
 /// z-scores raw feature rows in place from borrowed per-feature

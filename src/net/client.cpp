@@ -291,6 +291,9 @@ void RemoteBackend::close_session(engine::Shard& shard,
 
 void RemoteBackend::ingest(engine::Shard& shard, std::uint64_t local_id,
                            const std::vector<std::span<const Real>>& chunk) {
+  if (chunk.empty() || chunk.front().empty()) {
+    return;  // no samples: a no-op in process, and no wire chunk to encode
+  }
   const std::uint64_t client_id =
       engine::SessionHandle::pack(shard.index, local_id).value;
   MutexLock lock(mutex_);

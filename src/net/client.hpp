@@ -184,6 +184,7 @@ class RemoteBackend final : public engine::ExecutionBackend {
   void start(std::vector<std::unique_ptr<engine::Shard>>& shards,
              engine::DetectionSink& sink) override;
   void stop() override;
+  /// A chunk with no samples is a no-op, as in process: nothing is sent.
   void ingest(engine::Shard& shard, std::uint64_t local_id,
               const std::vector<std::span<const Real>>& chunk) override;
   void flush() override;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -135,13 +136,18 @@ TEST(SignalEntropy, NoiseAboveSine) {
   }
   RealVector spiky(1024, 0.0);
   spiky[0] = 1.0;  // almost-constant signal: tight distribution
-  EXPECT_GT(renyi_of_signal(noise, 2.0), renyi_of_signal(spiky, 2.0));
+  std::vector<std::size_t> counts;
+  RealVector probabilities;
+  EXPECT_GT(renyi_of_signal(noise, 2.0, 16, counts, probabilities),
+            renyi_of_signal(spiky, 2.0, 16, counts, probabilities));
   EXPECT_GT(shannon_of_signal(noise), shannon_of_signal(spiky));
 }
 
 TEST(SignalEntropy, ConstantSignalIsZero) {
   const RealVector c(64, 5.0);
-  EXPECT_DOUBLE_EQ(renyi_of_signal(c, 2.0), 0.0);
+  std::vector<std::size_t> counts;
+  RealVector probabilities;
+  EXPECT_DOUBLE_EQ(renyi_of_signal(c, 2.0, 16, counts, probabilities), 0.0);
   EXPECT_DOUBLE_EQ(shannon_of_signal(c), 0.0);
 }
 

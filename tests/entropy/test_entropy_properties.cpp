@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "common/random.hpp"
 #include "entropy/entropy.hpp"
@@ -34,7 +35,8 @@ class PeOrderTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PeOrderTest, NoiseApproachesMaximumEntropy) {
   const std::size_t order = GetParam();
   const RealVector x = noise(60000, 100 + order);
-  const Real h = permutation_entropy(x, order);
+  std::vector<std::size_t> counts;
+  const Real h = permutation_entropy(x, order, 1, counts);
   const Real h_max = std::log(static_cast<Real>(factorial(order)));
   EXPECT_GT(h, 0.9 * h_max);
   EXPECT_LE(h, h_max + 1e-9);
@@ -42,9 +44,10 @@ TEST_P(PeOrderTest, NoiseApproachesMaximumEntropy) {
 
 TEST_P(PeOrderTest, BoundedByLogFactorial) {
   const std::size_t order = GetParam();
+  std::vector<std::size_t> counts;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const RealVector x = noise(200, seed);
-    EXPECT_LE(permutation_entropy(x, order),
+    EXPECT_LE(permutation_entropy(x, order, 1, counts),
               std::log(static_cast<Real>(factorial(order))) + 1e-9);
   }
 }
@@ -56,8 +59,9 @@ TEST_P(PeOrderTest, InvariantUnderAffinePositiveTransform) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     scaled[i] = 7.5 * x[i] + 100.0;
   }
-  EXPECT_DOUBLE_EQ(permutation_entropy(x, order),
-                   permutation_entropy(scaled, order));
+  std::vector<std::size_t> counts;
+  EXPECT_DOUBLE_EQ(permutation_entropy(x, order, 1, counts),
+                   permutation_entropy(scaled, order, 1, counts));
 }
 
 TEST_P(PeOrderTest, NegationReversesPatternsButKeepsEntropy) {
@@ -70,8 +74,9 @@ TEST_P(PeOrderTest, NegationReversesPatternsButKeepsEntropy) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     negated[i] = -x[i];
   }
-  EXPECT_NEAR(permutation_entropy(x, order),
-              permutation_entropy(negated, order), 1e-12);
+  std::vector<std::size_t> counts;
+  EXPECT_NEAR(permutation_entropy(x, order, 1, counts),
+              permutation_entropy(negated, order, 1, counts), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, PeOrderTest, ::testing::Values(2, 3, 4, 5));

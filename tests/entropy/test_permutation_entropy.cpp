@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -87,8 +89,9 @@ TEST(Distribution, RespectsDelay) {
   for (std::size_t i = 0; i < alt.size(); ++i) {
     alt[i] = (i % 2 == 0) ? 0.0 : 1.0;
   }
-  const Real pe_delay1 = permutation_entropy(alt, 3, 1);
-  const Real pe_delay2 = permutation_entropy(alt, 3, 2);
+  std::vector<std::size_t> counts;
+  const Real pe_delay1 = permutation_entropy(alt, 3, 1, counts);
+  const Real pe_delay2 = permutation_entropy(alt, 3, 2, counts);
   EXPECT_GT(pe_delay1, 0.0);
   EXPECT_NEAR(pe_delay2, 0.0, 1e-12);
 }
@@ -98,12 +101,14 @@ TEST(PermutationEntropy, ZeroForMonotonicSignal) {
   for (std::size_t i = 0; i < ramp.size(); ++i) {
     ramp[i] = static_cast<Real>(i) * 0.5;
   }
-  EXPECT_NEAR(permutation_entropy(ramp, 5), 0.0, 1e-12);
+  std::vector<std::size_t> counts;
+  EXPECT_NEAR(permutation_entropy(ramp, 5, 1, counts), 0.0, 1e-12);
 }
 
 TEST(PermutationEntropy, NearMaximalForWhiteNoise) {
   const RealVector x = random_signal(20000, 2);
-  const Real h = permutation_entropy(x, 3);
+  std::vector<std::size_t> counts;
+  const Real h = permutation_entropy(x, 3, 1, counts);
   EXPECT_NEAR(h, std::log(6.0), 0.01);
 }
 
@@ -114,27 +119,35 @@ TEST(PermutationEntropy, RegularSignalBelowNoise) {
     sine[i] = std::sin(2.0 * pi * static_cast<Real>(i) / 32.0);
   }
   const RealVector noise = random_signal(512, 3);
-  EXPECT_LT(permutation_entropy(sine, 4), permutation_entropy(noise, 4));
+  std::vector<std::size_t> counts;
+  EXPECT_LT(permutation_entropy(sine, 4, 1, counts),
+            permutation_entropy(noise, 4, 1, counts));
 }
 
 TEST(PermutationEntropy, ShortSignalConventionIsZero) {
   const RealVector tiny = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(permutation_entropy(tiny, 5), 0.0);
+  std::vector<std::size_t> counts;
+  EXPECT_DOUBLE_EQ(permutation_entropy(tiny, 5, 1, counts), 0.0);
 }
 
 TEST(PermutationEntropy, PaperOrdersOnTinyDwtLevels) {
   // Level 7 of a 1024-sample window has 8 coefficients; the paper's
   // n = 5 and n = 7 still have to produce finite values.
   const RealVector level7 = random_signal(8, 4);
-  EXPECT_GE(permutation_entropy(level7, 5), 0.0);
-  EXPECT_GE(permutation_entropy(level7, 7), 0.0);
-  EXPECT_LE(permutation_entropy(level7, 7), std::log(2.0) + 1e-12);
+  std::vector<std::size_t> counts;
+  EXPECT_GE(permutation_entropy(level7, 5, 1, counts), 0.0);
+  EXPECT_GE(permutation_entropy(level7, 7, 1, counts), 0.0);
+  EXPECT_LE(permutation_entropy(level7, 7, 1, counts), std::log(2.0) + 1e-12);
 }
 
+// PE divided by its maximum log(order!) lies in [0, 1].
 TEST(PermutationEntropyNormalized, LiesInUnitInterval) {
   const RealVector x = random_signal(300, 5);
-  for (const std::size_t order : {3u, 4u, 5u}) {
-    const Real h = permutation_entropy_normalized(x, order);
+  std::vector<std::size_t> counts;
+  for (const auto& [order, order_factorial] :
+       {std::pair{3u, 6.0}, std::pair{4u, 24.0}, std::pair{5u, 120.0}}) {
+    const Real h = permutation_entropy(x, order, 1, counts) /
+                   std::log(order_factorial);
     EXPECT_GE(h, 0.0);
     EXPECT_LE(h, 1.0);
   }
@@ -142,7 +155,8 @@ TEST(PermutationEntropyNormalized, LiesInUnitInterval) {
 
 TEST(PermutationEntropyNormalized, WhiteNoiseNearOne) {
   const RealVector x = random_signal(50000, 6);
-  EXPECT_GT(permutation_entropy_normalized(x, 3), 0.99);
+  std::vector<std::size_t> counts;
+  EXPECT_GT(permutation_entropy(x, 3, 1, counts) / std::log(6.0), 0.99);
 }
 
 TEST(Distribution, RejectsBadParameters) {

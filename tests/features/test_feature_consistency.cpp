@@ -4,6 +4,8 @@
 // the pipeline and its parts.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.hpp"
 #include "dsp/spectrum.hpp"
 #include "dsp/wavelet.hpp"
@@ -61,14 +63,17 @@ TEST_P(ConsistencySeedTest, NonlinearFeaturesMatchDirectEntropyCalls) {
   dsp::WaveletDecomposition dec;
   dsp::wavedec_into(right, dsp::Wavelet::daubechies(4), 7, direct, dec,
                     dsp::ExtensionMode::kPeriodic);
-  EXPECT_DOUBLE_EQ(features[4],
-                   entropy::permutation_entropy(dec.detail_at_level(7), 5));
-  EXPECT_DOUBLE_EQ(features[5],
-                   entropy::permutation_entropy(dec.detail_at_level(7), 7));
-  EXPECT_DOUBLE_EQ(features[6],
-                   entropy::permutation_entropy(dec.detail_at_level(6), 7));
+  std::vector<std::size_t> counts;
+  RealVector probabilities;
+  EXPECT_DOUBLE_EQ(features[4], entropy::permutation_entropy(
+                                    dec.detail_at_level(7), 5, 1, counts));
+  EXPECT_DOUBLE_EQ(features[5], entropy::permutation_entropy(
+                                    dec.detail_at_level(7), 7, 1, counts));
+  EXPECT_DOUBLE_EQ(features[6], entropy::permutation_entropy(
+                                    dec.detail_at_level(6), 7, 1, counts));
   EXPECT_DOUBLE_EQ(features[7],
-                   entropy::renyi_of_signal(dec.detail_at_level(3), 2.0, 16));
+                   entropy::renyi_of_signal(dec.detail_at_level(3), 2.0, 16,
+                                            counts, probabilities));
   EXPECT_DOUBLE_EQ(
       features[8],
       entropy::sample_entropy_relative(dec.detail_at_level(6), 2, 0.2));

@@ -5,7 +5,7 @@
 // call on a fresh workspace exactly — per window, across window lengths
 // that exercise both FFT code paths and the odd-length DWT
 // periodization, and as the workspace moves between geometries. Also
-// covers the scratch-aware stats / entropy overloads the extractors are
+// covers the scratch-taking stats / entropy functions the extractors are
 // built on.
 #include <gtest/gtest.h>
 
@@ -78,24 +78,40 @@ TEST(WorkspaceParity, PaperExtractIntoMatchesExtract) {
   }
 }
 
-TEST(WorkspaceParity, QuantileFromSortedMatchesQuantile) {
+TEST(WorkspaceParity, QuantileFromSortedMatchesSelection) {
+  // The e-Glass IQR reads its two order statistics per quantile with
+  // std::nth_element instead of a full sort; both must interpolate the
+  // same ranks to the same bits.
   const RealVector x = noise(1001, 4);
   RealVector sorted(x);
   std::sort(sorted.begin(), sorted.end());
   for (const Real q : {0.0, 0.25, 0.5, 0.75, 0.9, 1.0}) {
-    ASSERT_EQ(stats::quantile(x, q), stats::quantile_from_sorted(sorted, q))
+    const Real position = q * static_cast<Real>(x.size() - 1);
+    const auto lower = static_cast<std::size_t>(position);
+    const std::size_t upper = std::min(lower + 1, x.size() - 1);
+    RealVector selected(x);
+    std::nth_element(selected.begin(), selected.begin() + lower,
+                     selected.end());
+    const Real at_lower = selected[lower];
+    std::nth_element(selected.begin(), selected.begin() + upper,
+                     selected.end());
+    const Real weight = position - static_cast<Real>(lower);
+    ASSERT_EQ((1.0 - weight) * at_lower + weight * selected[upper],
+              stats::quantile_from_sorted(sorted, q))
         << "q = " << q;
   }
 }
 
+// Warm equals cold for the entropy scratch: one count vector reused
+// across lengths and orders (crossing the sparse and dense paths) must
+// give what a fresh one gives.
 TEST(WorkspaceParity, PermutationEntropyScratchOverloadMatches) {
   std::vector<std::size_t> scratch;
-  // Short signals take the sparse path at high orders, long ones the
-  // dense path; the scratch overload must match on both.
-  for (const std::size_t n : {8u, 16u, 500u}) {
+  for (const std::size_t n : {8u, 16u, 500u, 8u}) {
     const RealVector x = noise(n, 6 * n);
     for (const std::size_t order : {3u, 5u, 7u}) {
-      ASSERT_EQ(entropy::permutation_entropy(x, order),
+      std::vector<std::size_t> fresh;
+      ASSERT_EQ(entropy::permutation_entropy(x, order, 1, fresh),
                 entropy::permutation_entropy(x, order, 1, scratch))
           << "n = " << n << ", order = " << order;
     }
@@ -105,15 +121,18 @@ TEST(WorkspaceParity, PermutationEntropyScratchOverloadMatches) {
 TEST(WorkspaceParity, RenyiOfSignalScratchOverloadMatches) {
   std::vector<std::size_t> counts;
   RealVector probabilities;
-  for (const std::size_t n : {8u, 100u}) {
-    const RealVector x = noise(n, 7 * n);
-    ASSERT_EQ(entropy::renyi_of_signal(x, 2.0, 16),
+  const auto expect_fresh_scratch_agrees = [&](const RealVector& x) {
+    std::vector<std::size_t> fresh_counts;
+    RealVector fresh_probabilities;
+    ASSERT_EQ(entropy::renyi_of_signal(x, 2.0, 16, fresh_counts,
+                                       fresh_probabilities),
               entropy::renyi_of_signal(x, 2.0, 16, counts, probabilities));
+  };
+  for (const std::size_t n : {8u, 100u}) {
+    expect_fresh_scratch_agrees(noise(n, 7 * n));
   }
   // Constant signal collapses into one bin.
-  const RealVector flat(32, 1.5);
-  ASSERT_EQ(entropy::renyi_of_signal(flat, 2.0, 16),
-            entropy::renyi_of_signal(flat, 2.0, 16, counts, probabilities));
+  expect_fresh_scratch_agrees(RealVector(32, 1.5));
 }
 
 }  // namespace

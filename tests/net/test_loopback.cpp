@@ -865,7 +865,9 @@ TEST_F(NetLoopback, IngestAfterCloseIsSilentOnEveryBackend) {
   // for the handle discard their chunks. In process, Engine::ingest drops
   // them; the remote backend must not send them for the server to
   // refuse. Several batches' worth of chunks go to the closed session
-  // between the open one's, and nothing throws on any backend.
+  // between the open one's, and nothing throws on any backend. A chunk
+  // with zero samples per channel is a no-op on every backend too: it
+  // goes to both sessions each round and changes no window.
   const platform::SocketAddress address = loopback_address();
   auto server = make_server(address, 1, false);
   for (const char* backend : {"inline", "threads", "remote"}) {
@@ -887,11 +889,14 @@ TEST_F(NetLoopback, IngestAfterCloseIsSilentOnEveryBackend) {
     service->close_session(closed);
     const signal::EegRecord& record = record_for(0);
 
+    const auto empty = chunk_views(record, 0, 0);
     constexpr std::size_t k_rounds = 8;
     for (std::size_t round = 0; round < k_rounds; ++round) {
       const auto views = chunk_views(record, round * k_chunk, k_chunk);
       EXPECT_NO_THROW(service->ingest(closed, views));
+      EXPECT_NO_THROW(service->ingest(open, empty));
       EXPECT_NO_THROW(service->ingest(open, views));
+      EXPECT_NO_THROW(service->ingest(closed, empty));
     }
     EXPECT_NO_THROW(service->flush());
     std::vector<Detection> drained;

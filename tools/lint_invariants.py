@@ -28,12 +28,12 @@ Checks (all scoped to src/):
    ingest ring) documents its ordering contract in place and is
    exercised under TSan instead.
 
-4. one-spelling-per-transform — a header in src/dsp or src/features
-   that declares `name_into(` must not also declare `name(`. The
-   workspace `_into` form is the only way to compute a window: a second,
-   allocating spelling beside it is a parallel implementation that only
-   tests and benches end up calling. Tests call the `_into` form with a
-   local dsp::Workspace.
+4. one-spelling-per-transform — a header in src/common, src/dsp,
+   src/entropy or src/features that declares `name_into(` must not also
+   declare `name(`. The workspace/scratch `_into` form is the only way
+   to compute a window: a second, allocating spelling beside it is a
+   parallel implementation that only tests and benches end up calling.
+   Tests call the `_into` form with a local dsp::Workspace or scratch.
 
 5. no-blocking-send-in-net — no `send_all(` call and no raw
    `::send`/`::write` family syscall in src/net. A ShardServer stops
@@ -58,7 +58,7 @@ SRC = REPO_ROOT / "src"
 
 HOT_CONTRACT_DIRS = ("dsp", "ml", "engine", "net")
 HOT_LOOP_DIRS = ("dsp", "ml")
-ONE_SPELLING_DIRS = ("dsp", "features")
+ONE_SPELLING_DIRS = ("common", "dsp", "entropy", "features")
 NO_BLOCKING_SEND_DIRS = ("net",)
 
 ALLOW_STRING = re.compile(r"//\s*lint:\s*allow-string\(")
