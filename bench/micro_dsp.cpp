@@ -84,16 +84,6 @@ void bm_wavedec_db4_level7(benchmark::State& state) {
 }
 BENCHMARK(bm_wavedec_db4_level7);
 
-void bm_welch_one_minute(benchmark::State& state) {
-  const RealVector x = random_signal(60 * 256, 5);
-  dsp::Workspace ws;
-  for (auto _ : state) {
-    dsp::welch_into(x, 256.0, 1024, ws, ws.psd);
-    benchmark::DoNotOptimize(ws.psd.density.data());
-  }
-}
-BENCHMARK(bm_welch_one_minute)->Unit(benchmark::kMillisecond);
-
 void bm_permutation_entropy(benchmark::State& state) {
   const auto order = static_cast<std::size_t>(state.range(0));
   // Paper geometry: PE runs on tiny DWT levels (8-16 coefficients).

@@ -119,18 +119,6 @@ const char* level_name(SimdLevel level) {
   return "unknown";
 }
 
-int level_width(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return 1;
-    case SimdLevel::kSse2:
-      return 2;
-    case SimdLevel::kAvx2:
-      return 4;
-  }
-  return 1;
-}
-
 void fft_stage(Complex* data, std::size_t n, std::size_t len,
                const Complex* twiddles) {
   switch (active_level()) {

@@ -3,8 +3,8 @@
 // Two pieces live here:
 //
 //  * `esl::simd` — a small fixed-width pack abstraction (load/store/
-//    broadcast, +/-/*, unfused fma, compare, select, and the pair
-//    shuffles interleaved complex data needs) over the GCC/Clang
+//    broadcast, +/-/*, unfused fma, and the pair shuffles interleaved
+//    complex data needs) over the GCC/Clang
 //    vector extensions, with a plain-array scalar fallback for other
 //    compilers. Packs are a codegen vocabulary, not a public container:
 //    only the kernel implementations use them.
@@ -63,11 +63,6 @@
 #endif
 
 namespace esl::simd {
-
-/// Lane-mask produced by pack comparisons: all-ones (true) or all-zeros
-/// per lane, in an integer vector the same width as the source pack.
-template <class T, int W>
-struct Mask;
 
 /// Fixed-width pack of W elements of T. W must be a power of two >= 2;
 /// Pack<T, 1> (below) is the scalar fallback with the same interface, so
@@ -148,24 +143,6 @@ struct Pack<T, 1> {
   friend ESL_SIMD_INLINE Pack operator*(Pack a, Pack b) { return {a.v * b.v}; }
 };
 
-template <class T, int W>
-struct Mask {
-#if ESL_SIMD_VECTOR_EXT
-  typedef decltype(Pack<T, W>{}.v < Pack<T, W>{}.v) Vec;
-  Vec m;
-  ESL_SIMD_INLINE bool lane(int i) const { return m[i] != 0; }
-#else
-  bool m[W];
-  ESL_SIMD_INLINE bool lane(int i) const { return m[i]; }
-#endif
-};
-
-template <class T>
-struct Mask<T, 1> {
-  bool m;
-  ESL_SIMD_INLINE bool lane(int) const { return m; }
-};
-
 /// Unfused multiply-add a*b + c. Deliberately NOT a hardware FMA: fusing
 /// changes rounding, and the kernel parity contract requires the same
 /// per-element arithmetic at every width (the build also disables FP
@@ -173,40 +150,6 @@ struct Mask<T, 1> {
 template <class T, int W>
 ESL_SIMD_INLINE Pack<T, W> fma(Pack<T, W> a, Pack<T, W> b, Pack<T, W> c) {
   return a * b + c;
-}
-
-/// Lane-wise a <= b (false for NaN operands, exactly like scalar <=).
-template <class T, int W>
-ESL_SIMD_INLINE Mask<T, W> le(Pack<T, W> a, Pack<T, W> b) {
-#if ESL_SIMD_VECTOR_EXT
-  // One form covers both: the W == 1 specialization compares scalars
-  // into a bool mask, the vector packs into an integer-vector mask.
-  return {a.v <= b.v};
-#else
-  Mask<T, W> r;
-  if constexpr (W == 1) {
-    r.m = a.v <= b.v;
-  } else {
-    for (int i = 0; i < W; ++i) r.m[i] = a.v[i] <= b.v[i];
-  }
-  return r;
-#endif
-}
-
-/// Lane-wise mask ? a : b.
-template <class T, int W>
-ESL_SIMD_INLINE Pack<T, W> select(Mask<T, W> m, Pack<T, W> a, Pack<T, W> b) {
-  if constexpr (W == 1) {
-    return {m.lane(0) ? a.v : b.v};
-  } else {
-#if ESL_SIMD_VECTOR_EXT
-    return {m.m ? a.v : b.v};
-#else
-    Pack<T, W> r;
-    for (int i = 0; i < W; ++i) r.v[i] = m.m[i] ? a.v[i] : b.v[i];
-    return r;
-#endif
-  }
 }
 
 // ------------------------------------------------- interleaved-pair shuffles
@@ -361,9 +304,6 @@ SimdLevel set_active_level(SimdLevel level);
 
 /// "scalar" / "sse2" / "avx2".
 const char* level_name(SimdLevel level);
-
-/// Real lanes processed per pack at `level` (1 / 2 / 4).
-int level_width(SimdLevel level);
 
 // ------------------------------------------------------------- DSP kernels
 // All pointers are caller-owned workspace buffers; none may alias unless

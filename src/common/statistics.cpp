@@ -28,17 +28,6 @@ Real variance(std::span<const Real> values) {
   return sum / static_cast<Real>(values.size());
 }
 
-Real sample_variance(std::span<const Real> values) {
-  expects(values.size() >= 2, "stats::sample_variance: need at least 2 values");
-  const Real mu = mean(values);
-  Real sum = 0.0;
-  for (const Real v : values) {
-    const Real d = v - mu;
-    sum += d * d;
-  }
-  return sum / static_cast<Real>(values.size() - 1);
-}
-
 Real stddev(std::span<const Real> values) {
   return std::sqrt(variance(values));
 }

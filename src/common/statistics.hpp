@@ -15,9 +15,6 @@ Real mean(std::span<const Real> values);
 /// Population variance (divide by n). Requires a non-empty range.
 Real variance(std::span<const Real> values);
 
-/// Sample variance (divide by n-1). Requires at least two values.
-Real sample_variance(std::span<const Real> values);
-
 /// Population standard deviation.
 Real stddev(std::span<const Real> values);
 

@@ -45,20 +45,13 @@ RealtimeDetector::RealtimeDetector(RealtimeConfig config)
       // front, exactly as the by-value member used to.
       forest_(std::make_shared<const ml::RandomForest>(config.forest)) {}
 
-ml::Dataset RealtimeDetector::scale(const ml::Dataset& data) const {
-  expects(scaler_.has_value(), "RealtimeDetector: scaler not fitted");
-  ml::Dataset scaled = data;
-  features::apply_zscore(scaled.x, *scaler_);
-  return scaled;
-}
-
 void RealtimeDetector::fit(const ml::Dataset& train, std::uint64_t seed) {
   train.check();
   expects(train.size() >= 4, "RealtimeDetector::fit: dataset too small");
-  scaler_ = features::fit_column_stats(train.x);
-  row_scaler_ = ml::RowScaler{scaler_->mean, scaler_->stddev};
+  features::ColumnStats stats = features::fit_column_stats(train.x);
   ml::Dataset scaled = train;
-  features::apply_zscore(scaled.x, *scaler_);
+  features::apply_zscore(scaled.x, stats);
+  scaler_ = ml::RowScaler{std::move(stats.mean), std::move(stats.stddev)};
   // Train a fresh forest and share it into an immutable deployable
   // artifact: the engine holds models only through that seam, so a later
   // re-fit installs a new ensemble instead of mutating the one a shard
@@ -66,38 +59,40 @@ void RealtimeDetector::fit(const ml::Dataset& train, std::uint64_t seed) {
   auto fitted = std::make_shared<ml::RandomForest>(config_.forest);
   fitted->fit(scaled, seed);
   forest_ = fitted;
-  model_ = std::make_shared<const ml::ForestModel>(forest_, row_scaler_);
+  model_ = std::make_shared<const ml::ForestModel>(forest_, scaler_);
 }
 
 std::shared_ptr<const ml::CompiledForest> RealtimeDetector::compile() const {
   expects(is_fitted(), "RealtimeDetector::compile: not fitted");
-  return std::make_shared<const ml::CompiledForest>(*forest_, row_scaler_);
+  return std::make_shared<const ml::CompiledForest>(*forest_, scaler_);
 }
 
 std::vector<int> RealtimeDetector::predict_windows(
     const signal::EegRecord& record) const {
   expects(is_fitted(), "RealtimeDetector::predict_windows: not fitted");
-  const features::WindowedFeatures windowed = features::extract_windowed_features(
+  features::WindowedFeatures windowed = features::extract_windowed_features(
       record, extractor_, config_.window_seconds, config_.overlap);
-  Matrix scaled = windowed.features;
-  features::apply_zscore(scaled, *scaler_);
-  return forest_->predict_all(scaled);
+  RealVector proba;
+  std::vector<int> labels;
+  model_->predict_into(windowed.features, proba, labels);
+  return labels;
 }
 
 ml::ConfusionMatrix RealtimeDetector::evaluate(
     const signal::EegRecord& record,
     const std::vector<signal::Interval>& truth) const {
   expects(is_fitted(), "RealtimeDetector::evaluate: not fitted");
-  const features::WindowedFeatures windowed = features::extract_windowed_features(
+  features::WindowedFeatures windowed = features::extract_windowed_features(
       record, extractor_, config_.window_seconds, config_.overlap);
-  Matrix scaled = windowed.features;
-  features::apply_zscore(scaled, *scaler_);
-  const std::vector<int> predicted = forest_->predict_all(scaled);
-  std::vector<int> labels(windowed.count());
-  for (std::size_t w = 0; w < windowed.count(); ++w) {
+  const std::size_t windows = windowed.count();
+  std::vector<int> labels(windows);
+  for (std::size_t w = 0; w < windows; ++w) {
     labels[w] = window_label(windowed.window_start_s[w],
                              config_.window_seconds, truth);
   }
+  RealVector proba;
+  std::vector<int> predicted;
+  model_->predict_into(windowed.features, proba, predicted);
   return ml::confusion(labels, predicted);
 }
 

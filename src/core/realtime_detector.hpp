@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "features/eglass_features.hpp"
 #include "features/normalize.hpp"
@@ -56,9 +55,9 @@ class RealtimeDetector {
   /// Fits the forest (and the feature scaler) on a labeled dataset.
   void fit(const ml::Dataset& train, std::uint64_t seed = 1);
 
-  bool is_fitted() const { return scaler_.has_value(); }
+  bool is_fitted() const { return model_ != nullptr; }
 
-  /// Per-window hard labels for a record.
+  /// Per-window hard labels for a record, predicted through model().
   std::vector<int> predict_windows(const signal::EegRecord& record) const;
 
   const ml::RandomForest& forest() const { return *forest_; }
@@ -89,18 +88,15 @@ class RealtimeDetector {
   const RealtimeConfig& config() const { return config_; }
 
  private:
-  ml::Dataset scale(const ml::Dataset& data) const;
-
   RealtimeConfig config_;
   features::EglassFeatureExtractor extractor_;
   /// The fitted ensemble. fit() installs a *fresh* forest here (never
   /// mutates the old one), so the ForestModel artifact sharing it stays
   /// immutable; never null (unfitted before the first fit).
   std::shared_ptr<const ml::RandomForest> forest_;
-  std::optional<features::ColumnStats> scaler_;
-  /// Row-major scaling twin of scaler_ (same values), baked into the
-  /// deployable artifacts that model() and compile() hand out.
-  ml::RowScaler row_scaler_;
+  /// The fit's z-score parameters, baked into the deployable artifacts
+  /// that model() and compile() hand out.
+  ml::RowScaler scaler_;
   std::shared_ptr<const ml::InferenceModel> model_;  // rebuilt by fit()
 };
 

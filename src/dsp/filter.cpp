@@ -1,7 +1,5 @@
 #include "dsp/filter.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -173,129 +171,6 @@ BiquadCascade butterworth_bandpass(std::size_t order, Real low_hz, Real high_hz,
   std::vector<Biquad> sections = hp.sections();
   sections.insert(sections.end(), lp.sections().begin(), lp.sections().end());
   return BiquadCascade(std::move(sections));
-}
-
-Biquad notch(Real center_hz, Real quality, Real sample_rate_hz) {
-  check_frequency(center_hz, sample_rate_hz);
-  expects(quality > 0.0, "notch: quality must be positive");
-  const Real w0 = 2.0 * k_pi * center_hz / sample_rate_hz;
-  const Real alpha = std::sin(w0) / (2.0 * quality);
-  const Real c = std::cos(w0);
-  Biquad s;
-  s.b0 = 1.0;
-  s.b1 = -2.0 * c;
-  s.b2 = 1.0;
-  s.a0 = 1.0 + alpha;
-  s.a1 = -2.0 * c;
-  s.a2 = 1.0 - alpha;
-  return s;
-}
-
-RealVector filtfilt(BiquadCascade cascade, std::span<const Real> signal) {
-  cascade.reset();
-  RealVector forward = cascade.filter(signal);
-  std::reverse(forward.begin(), forward.end());
-  cascade.reset();
-  RealVector backward = cascade.filter(forward);
-  std::reverse(backward.begin(), backward.end());
-  return backward;
-}
-
-namespace {
-
-RealVector windowed_sinc(std::size_t taps, Real cutoff_hz, Real sample_rate_hz,
-                         WindowKind window) {
-  expects(taps >= 3, "fir design: need at least 3 taps");
-  check_frequency(cutoff_hz, sample_rate_hz);
-  const Real fc = cutoff_hz / sample_rate_hz;  // normalized (cycles/sample)
-  const auto center = static_cast<std::ptrdiff_t>((taps - 1) / 2);
-  const RealVector w = make_window(window, taps, /*periodic=*/false);
-  RealVector h(taps);
-  Real sum = 0.0;
-  for (std::size_t i = 0; i < taps; ++i) {
-    const auto m = static_cast<std::ptrdiff_t>(i) - center;
-    Real v;
-    if (m == 0) {
-      v = 2.0 * fc;
-    } else {
-      const Real x = 2.0 * k_pi * fc * static_cast<Real>(m);
-      v = std::sin(x) / (k_pi * static_cast<Real>(m));
-    }
-    h[i] = v * w[i];
-    sum += h[i];
-  }
-  // Normalize for unity DC gain.
-  expects(sum != 0.0, "fir design: degenerate taps");
-  for (auto& v : h) {
-    v /= sum;
-  }
-  return h;
-}
-
-}  // namespace
-
-RealVector fir_lowpass(std::size_t taps, Real cutoff_hz, Real sample_rate_hz,
-                       WindowKind window) {
-  return windowed_sinc(taps, cutoff_hz, sample_rate_hz, window);
-}
-
-RealVector fir_highpass(std::size_t taps, Real cutoff_hz, Real sample_rate_hz,
-                        WindowKind window) {
-  expects(taps % 2 == 1, "fir_highpass: taps must be odd");
-  RealVector h = windowed_sinc(taps, cutoff_hz, sample_rate_hz, window);
-  for (auto& v : h) {
-    v = -v;
-  }
-  h[(taps - 1) / 2] += 1.0;
-  return h;
-}
-
-RealVector fir_bandpass(std::size_t taps, Real low_hz, Real high_hz,
-                        Real sample_rate_hz, WindowKind window) {
-  expects(taps % 2 == 1, "fir_bandpass: taps must be odd");
-  expects(low_hz < high_hz, "fir_bandpass: low_hz must be < high_hz");
-  const RealVector low = windowed_sinc(taps, low_hz, sample_rate_hz, window);
-  RealVector high = windowed_sinc(taps, high_hz, sample_rate_hz, window);
-  for (std::size_t i = 0; i < taps; ++i) {
-    high[i] -= low[i];
-  }
-  return high;
-}
-
-RealVector fir_filter(std::span<const Real> taps, std::span<const Real> signal) {
-  expects(!taps.empty(), "fir_filter: empty taps");
-  const auto center = static_cast<std::ptrdiff_t>((taps.size() - 1) / 2);
-  RealVector out(signal.size(), 0.0);
-  const auto n = static_cast<std::ptrdiff_t>(signal.size());
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    Real acc = 0.0;
-    for (std::size_t k = 0; k < taps.size(); ++k) {
-      const std::ptrdiff_t j = i + center - static_cast<std::ptrdiff_t>(k);
-      if (j >= 0 && j < n) {
-        acc += taps[k] * signal[static_cast<std::size_t>(j)];
-      }
-    }
-    out[static_cast<std::size_t>(i)] = acc;
-  }
-  return out;
-}
-
-RealVector decimate(std::span<const Real> signal, std::size_t factor,
-                    Real sample_rate_hz) {
-  expects(factor >= 1, "decimate: factor must be >= 1");
-  if (factor == 1) {
-    return RealVector(signal.begin(), signal.end());
-  }
-  const Real cutoff = 0.4 * sample_rate_hz / static_cast<Real>(factor);
-  const std::size_t taps = 8 * factor + 1;
-  const RealVector h = fir_lowpass(taps, cutoff, sample_rate_hz);
-  const RealVector filtered = fir_filter(h, signal);
-  RealVector out;
-  out.reserve(signal.size() / factor + 1);
-  for (std::size_t i = 0; i < filtered.size(); i += factor) {
-    out.push_back(filtered[i]);
-  }
-  return out;
 }
 
 }  // namespace esl::dsp

@@ -1,9 +1,9 @@
-// Digital filtering: biquad sections, Butterworth IIR design (bilinear
-// transform), RBJ notch, and windowed-sinc FIR design.
+// Digital filtering: biquad sections and Butterworth IIR design
+// (bilinear transform).
 //
-// The EEG simulator uses these to shape background activity, and the
-// acquisition front-end model offers the standard 0.5 Hz high-pass /
-// power-line notch conditioning chain.
+// The EEG simulator (sim/eeg_synth, sim/artifact_model) band-limits its
+// synthetic background and artifacts with butterworth_bandpass. The
+// detector itself filters nothing: the e-Glass row reads the raw window.
 #pragma once
 
 #include <array>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "dsp/window.hpp"
 
 namespace esl::dsp {
 
@@ -60,34 +59,5 @@ BiquadCascade butterworth_highpass(std::size_t order, Real cutoff_hz,
 /// Band-pass as a high-pass/low-pass cascade (order each).
 BiquadCascade butterworth_bandpass(std::size_t order, Real low_hz, Real high_hz,
                                    Real sample_rate_hz);
-
-/// RBJ cookbook notch at `center_hz` with the given quality factor.
-Biquad notch(Real center_hz, Real quality, Real sample_rate_hz);
-
-/// Zero-phase filtering: forward pass, reverse, forward, reverse.
-/// Doubles the effective order and removes group delay.
-RealVector filtfilt(BiquadCascade cascade, std::span<const Real> signal);
-
-/// Windowed-sinc FIR low-pass taps (odd `taps` recommended).
-RealVector fir_lowpass(std::size_t taps, Real cutoff_hz, Real sample_rate_hz,
-                       WindowKind window = WindowKind::kHamming);
-
-/// Windowed-sinc FIR high-pass taps (spectral inversion; `taps` must be odd).
-RealVector fir_highpass(std::size_t taps, Real cutoff_hz, Real sample_rate_hz,
-                        WindowKind window = WindowKind::kHamming);
-
-/// Windowed-sinc FIR band-pass taps (`taps` must be odd).
-RealVector fir_bandpass(std::size_t taps, Real low_hz, Real high_hz,
-                        Real sample_rate_hz,
-                        WindowKind window = WindowKind::kHamming);
-
-/// Convolves the signal with FIR taps; output is time-aligned (the group
-/// delay of (taps-1)/2 samples is compensated, edges use zero padding).
-RealVector fir_filter(std::span<const Real> taps, std::span<const Real> signal);
-
-/// Anti-aliased integer-factor decimation (FIR low-pass then keep every
-/// `factor`-th sample).
-RealVector decimate(std::span<const Real> signal, std::size_t factor,
-                    Real sample_rate_hz);
 
 }  // namespace esl::dsp

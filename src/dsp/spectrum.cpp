@@ -1,6 +1,5 @@
 #include "dsp/spectrum.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -11,12 +10,12 @@
 namespace esl::dsp {
 
 void periodogram_into(std::span<const Real> signal, Real sample_rate_hz,
-                      Workspace& workspace, Psd& out, WindowKind window) {
+                      Workspace& workspace, Psd& out) {
   expects(signal.size() >= 2, "periodogram: need at least 2 samples");
   expects(sample_rate_hz > 0.0, "periodogram: sample rate must be positive");
 
   const std::size_t n = signal.size();
-  const RealVector& w = workspace.window_cache(window, n);
+  const RealVector& w = workspace.window_cache(n);
   RealVector& tapered = workspace.tapered;
   tapered.resize(n);
   kernels::taper_multiply(signal.data(), w.data(), tapered.data(), n);
@@ -35,41 +34,6 @@ void periodogram_into(std::span<const Real> signal, Real sample_rate_hz,
   // even n, Nyquist) — the vectorized kernel keeps the scalar op order.
   kernels::power_density(spectrum.data(), spectrum.size(), scale, n % 2 == 0,
                          out.density.data());
-}
-
-void welch_into(std::span<const Real> signal, Real sample_rate_hz,
-                std::size_t segment_length, Workspace& workspace, Psd& out,
-                Real overlap, WindowKind window) {
-  expects(segment_length >= 2, "welch: segment_length must be >= 2");
-  expects(overlap >= 0.0 && overlap < 1.0, "welch: overlap must lie in [0, 1)");
-  if (signal.size() <= segment_length) {
-    periodogram_into(signal, sample_rate_hz, workspace, out, window);
-    return;
-  }
-  const auto hop = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::lround(static_cast<Real>(segment_length) * (1.0 - overlap))));
-
-  std::size_t segments = 0;
-  for (std::size_t start = 0; start + segment_length <= signal.size();
-       start += hop) {
-    if (segments == 0) {
-      // First segment lands directly in the accumulator (frequency axis
-      // included); later segments add their density into it.
-      periodogram_into(signal.subspan(start, segment_length), sample_rate_hz,
-                       workspace, out, window);
-    } else {
-      periodogram_into(signal.subspan(start, segment_length), sample_rate_hz,
-                       workspace, workspace.segment_psd, window);
-      for (std::size_t k = 0; k < out.density.size(); ++k) {
-        out.density[k] += workspace.segment_psd.density[k];
-      }
-    }
-    ++segments;
-  }
-  for (auto& v : out.density) {
-    v /= static_cast<Real>(segments);
-  }
 }
 
 Real band_power(const Psd& psd, Band band) {

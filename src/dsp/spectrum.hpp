@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "dsp/window.hpp"
 
 namespace esl::dsp {
 
@@ -27,23 +26,16 @@ struct Psd {
   }
 };
 
-// Estimators. The taper, tapered copy and FFT temporaries come from
+// Estimator. The taper, tapered copy and FFT temporaries come from
 // `workspace` and the PSD is written into the caller-owned `out` (which
 // may be workspace.psd), so a warm call performs no heap allocation. The
 // band-power readers below (band_power, total_power, ...) are
 // allocation-free over any caller-owned Psd. See dsp/workspace.hpp.
 
-/// Windowed periodogram of the whole segment (one-sided, density scaling).
+/// Hann-windowed periodogram of the whole segment (one-sided, density
+/// scaling).
 void periodogram_into(std::span<const Real> signal, Real sample_rate_hz,
-                      Workspace& workspace, Psd& out,
-                      WindowKind window = WindowKind::kHann);
-
-/// Welch PSD: averaged periodograms of `segment_length`-sample segments
-/// with `overlap` in [0, 1). Falls back to a single periodogram when the
-/// signal is shorter than one segment.
-void welch_into(std::span<const Real> signal, Real sample_rate_hz,
-                std::size_t segment_length, Workspace& workspace, Psd& out,
-                Real overlap = 0.5, WindowKind window = WindowKind::kHann);
+                      Workspace& workspace, Psd& out);
 
 /// Frequency band in Hz, [low, high).
 struct Band {

@@ -44,76 +44,30 @@ RealVector daubechies_lowpass(int vanishing_moments) {
   }
 }
 
-/// Single-level analysis core shared by dwt_single_into and
-/// wavedec_into: writes the coefficient pair into `approx`/`detail`
-/// (resized, capacity retained) with `padded_scratch` holding the
-/// odd-length periodization copy when needed.
+/// Single-level periodic analysis, the step wavedec_into repeats per
+/// level: writes the coefficient pair into `approx`/`detail` (resized,
+/// capacity retained) with `padded_scratch` holding the odd-length
+/// periodization copy when needed.
 void dwt_single_buffers(std::span<const Real> signal, const Wavelet& wavelet,
-                        ExtensionMode mode, RealVector& padded_scratch,
-                        RealVector& approx, RealVector& detail);
-
-std::size_t reflect_index(std::ptrdiff_t index, std::size_t n) {
-  // Half-point symmetric extension: ... x1 x0 | x0 x1 ... xn-1 | xn-1 xn-2 ...
-  auto sn = static_cast<std::ptrdiff_t>(n);
-  // Period of the reflected signal is 2n.
-  std::ptrdiff_t m = index % (2 * sn);
-  if (m < 0) {
-    m += 2 * sn;
+                        RealVector& padded_scratch, RealVector& approx,
+                        RealVector& detail) {
+  // Odd lengths are periodized by repeating the last sample (pywt 'per').
+  std::span<const Real> x = signal;
+  if (signal.size() % 2 != 0) {
+    padded_scratch.assign(signal.begin(), signal.end());
+    padded_scratch.push_back(signal.back());
+    x = padded_scratch;
   }
-  if (m >= sn) {
-    m = 2 * sn - 1 - m;
-  }
-  return static_cast<std::size_t>(m);
-}
-
-void dwt_single_buffers(std::span<const Real> signal, const Wavelet& wavelet,
-                        ExtensionMode mode, RealVector& padded_scratch,
-                        RealVector& approx, RealVector& detail) {
-  expects(signal.size() >= 2, "dwt_single: need at least 2 samples");
-  const std::size_t filter_length = wavelet.length();
-  const RealVector& h = wavelet.lowpass();
-  const RealVector& g = wavelet.highpass();
-
-  if (mode == ExtensionMode::kPeriodic) {
-    // Odd lengths are periodized by repeating the last sample (pywt 'per').
-    std::span<const Real> x = signal;
-    if (signal.size() % 2 != 0) {
-      padded_scratch.assign(signal.begin(), signal.end());
-      padded_scratch.push_back(signal.back());
-      x = padded_scratch;
-    }
-    const std::size_t n = x.size();
-    const std::size_t half = n / 2;
-    approx.resize(half);
-    detail.resize(half);
-    // Filter correlation through the vectorized kernel seam: wrap-free
-    // interior outputs advance in packs, the wrap tail stays scalar,
-    // and both accumulate taps in the same order as the historical loop.
-    kernels::dwt_periodic_analysis(x.data(), n, h.data(), g.data(),
-                                   filter_length, approx.data(),
-                                   detail.data());
-    return;
-  }
-
-  // Symmetric mode: correlation against the reflected signal;
-  // coefficient index i reads x_sym(2i + k - N + 2).
-  const std::size_t n = signal.size();
-  const std::size_t count = (n + filter_length - 1) / 2;
-  approx.assign(count, 0.0);
-  detail.assign(count, 0.0);
-  for (std::size_t i = 0; i < count; ++i) {
-    Real a = 0.0;
-    Real d = 0.0;
-    for (std::size_t k = 0; k < filter_length; ++k) {
-      const auto idx = static_cast<std::ptrdiff_t>(2 * i + k) -
-                       static_cast<std::ptrdiff_t>(filter_length) + 2;
-      const Real v = signal[reflect_index(idx, n)];
-      a += h[k] * v;
-      d += g[k] * v;
-    }
-    approx[i] = a;
-    detail[i] = d;
-  }
+  const std::size_t n = x.size();
+  const std::size_t half = n / 2;
+  approx.resize(half);
+  detail.resize(half);
+  // Filter correlation through the vectorized kernel seam: wrap-free
+  // interior outputs advance in packs, the wrap tail stays scalar, and
+  // both accumulate taps in the same order as the historical loop.
+  kernels::dwt_periodic_analysis(x.data(), n, wavelet.lowpass().data(),
+                                 wavelet.highpass().data(), wavelet.length(),
+                                 approx.data(), detail.data());
 }
 
 }  // namespace
@@ -133,15 +87,9 @@ Wavelet Wavelet::daubechies(int vanishing_moments) {
                  daubechies_lowpass(vanishing_moments));
 }
 
-void dwt_single_into(std::span<const Real> signal, const Wavelet& wavelet,
-                     Workspace& workspace, DwtLevel& out, ExtensionMode mode) {
-  dwt_single_buffers(signal, wavelet, mode, workspace.padded, out.approx,
-                     out.detail);
-}
-
 RealVector idwt_single(std::span<const Real> approx,
                        std::span<const Real> detail, const Wavelet& wavelet,
-                       ExtensionMode mode, std::size_t output_length) {
+                       std::size_t output_length) {
   expects(approx.size() == detail.size(),
           "idwt_single: approx/detail length mismatch");
   expects(!approx.empty(), "idwt_single: empty coefficients");
@@ -149,39 +97,17 @@ RealVector idwt_single(std::span<const Real> approx,
   const RealVector& h = wavelet.lowpass();
   const RealVector& g = wavelet.highpass();
   const std::size_t count = approx.size();
-
-  if (mode == ExtensionMode::kPeriodic) {
-    const std::size_t n = 2 * count;
-    expects(output_length == n || output_length + 1 == n,
-            "idwt_single: output_length incompatible with coefficient count");
-    RealVector full(n, 0.0);
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t k = 0; k < filter_length; ++k) {
-        full[(2 * i + k) % n] += approx[i] * h[k] + detail[i] * g[k];
-      }
-    }
-    full.resize(output_length);
-    return full;
-  }
-
-  // Symmetric mode: upsample-and-scatter, then trim N-2 leading samples
-  // (mirror of the analysis offset) and truncate to output_length.
-  expects(2 * count >= filter_length,
-          "idwt_single: coefficients too short for this wavelet");
-  const std::size_t reconstructed = 2 * count - filter_length + 2;
-  expects(output_length <= reconstructed,
+  const std::size_t n = 2 * count;
+  expects(output_length == n || output_length + 1 == n,
           "idwt_single: output_length incompatible with coefficient count");
-  RealVector full(2 * count + filter_length - 1, 0.0);
+  RealVector full(n, 0.0);
   for (std::size_t i = 0; i < count; ++i) {
     for (std::size_t k = 0; k < filter_length; ++k) {
-      full[2 * i + k] += approx[i] * h[k] + detail[i] * g[k];
+      full[(2 * i + k) % n] += approx[i] * h[k] + detail[i] * g[k];
     }
   }
-  RealVector out(output_length);
-  for (std::size_t m = 0; m < output_length; ++m) {
-    out[m] = full[m + filter_length - 2];
-  }
-  return out;
+  full.resize(output_length);
+  return full;
 }
 
 const RealVector& WaveletDecomposition::detail_at_level(
@@ -189,21 +115,6 @@ const RealVector& WaveletDecomposition::detail_at_level(
   expects(level >= 1 && level <= details.size(),
           "WaveletDecomposition::detail_at_level: level out of range");
   return details[level - 1];
-}
-
-std::size_t max_decomposition_levels(std::size_t signal_length,
-                                     const Wavelet& wavelet) {
-  const std::size_t denom = wavelet.length() - 1;
-  if (denom == 0 || signal_length < 2 * denom) {
-    return signal_length >= 2 ? 1 : 0;
-  }
-  std::size_t levels = 0;
-  std::size_t n = signal_length / denom;
-  while (n > 1) {
-    n >>= 1;
-    ++levels;
-  }
-  return levels;
 }
 
 std::size_t min_periodic_wavedec_length(std::size_t levels) {
@@ -214,7 +125,7 @@ std::size_t min_periodic_wavedec_length(std::size_t levels) {
 
 void wavedec_into(std::span<const Real> signal, const Wavelet& wavelet,
                   std::size_t levels, Workspace& workspace,
-                  WaveletDecomposition& out, ExtensionMode mode) {
+                  WaveletDecomposition& out) {
   expects(levels >= 1, "wavedec: levels must be >= 1");
   expects(signal.size() >= 2, "wavedec: need at least 2 samples");
 
@@ -229,7 +140,7 @@ void wavedec_into(std::span<const Real> signal, const Wavelet& wavelet,
     expects(current->size() >= 2,
             "wavedec: signal too short for requested level count");
     out.signal_lengths.push_back(current->size());
-    dwt_single_buffers(*current, wavelet, mode, workspace.padded, *next,
+    dwt_single_buffers(*current, wavelet, workspace.padded, *next,
                        out.details[level]);
     std::swap(current, next);
   }
@@ -237,13 +148,13 @@ void wavedec_into(std::span<const Real> signal, const Wavelet& wavelet,
 }
 
 RealVector waverec(const WaveletDecomposition& decomposition,
-                   const Wavelet& wavelet, ExtensionMode mode) {
+                   const Wavelet& wavelet) {
   expects(decomposition.levels() >= 1, "waverec: empty decomposition");
   expects(decomposition.signal_lengths.size() == decomposition.levels(),
           "waverec: corrupt decomposition metadata");
   RealVector current = decomposition.approx;
   for (std::size_t level = decomposition.levels(); level-- > 0;) {
-    current = idwt_single(current, decomposition.details[level], wavelet, mode,
+    current = idwt_single(current, decomposition.details[level], wavelet,
                           decomposition.signal_lengths[level]);
   }
   return current;

@@ -2,9 +2,11 @@
 //
 // The paper decomposes each 4-second EEG window to level 7 with the
 // Daubechies-4 (db4) basis and computes entropies of selected detail
-// levels (§III-A). We provide orthogonal Daubechies banks db1..db4, single
-// and multi-level transforms, perfect-reconstruction inverses, and two
-// boundary handling modes (periodic and symmetric reflection).
+// levels (§III-A). We provide orthogonal Daubechies banks db1..db4 and the
+// multi-level analysis with periodic boundaries (pywt 'per': circular
+// wrap, odd lengths padded by repeating the last sample, so each level
+// has ceil(n/2) coefficients). The inverse is the perfect-reconstruction
+// oracle the analysis tests compare against.
 //
 // Conventions (verified by the perfect-reconstruction tests):
 //  * h = scaling (lowpass) coefficients in natural order, sum(h) = sqrt(2);
@@ -48,24 +50,11 @@ class Wavelet {
   RealVector highpass_;
 };
 
-/// Boundary handling for the transforms.
-enum class ExtensionMode {
-  kPeriodic,   // circular wrap; coefficient length ceil(n/2)
-  kSymmetric,  // half-point reflection (pywt 'symmetric');
-               // coefficient length floor((n + N - 1) / 2)
-};
-
-/// Approximation/detail pair produced by one analysis level.
-struct DwtLevel {
-  RealVector approx;
-  RealVector detail;
-};
-
 /// Single-level synthesis; `output_length` is the original signal length
 /// (needed because both n and n+1 map to the same coefficient lengths).
 RealVector idwt_single(std::span<const Real> approx,
                        std::span<const Real> detail, const Wavelet& wavelet,
-                       ExtensionMode mode, std::size_t output_length);
+                       std::size_t output_length);
 
 /// Multi-level decomposition result.
 ///
@@ -85,20 +74,15 @@ struct WaveletDecomposition {
   const RealVector& detail_at_level(std::size_t level) const;
 };
 
-/// Largest meaningful decomposition depth, floor(log2(n / (N - 1))).
-std::size_t max_decomposition_levels(std::size_t signal_length,
-                                     const Wavelet& wavelet);
-
-/// Shortest signal a periodic-mode wavedec_into can decompose to `levels`
-/// (>= 1), for any wavelet: each level halves its input (rounding up) and
-/// the deepest still needs 2 samples, so 2^(levels-1) + 1 — 65 for the
-/// paper's 7 levels.
+/// Shortest signal wavedec_into can decompose to `levels` (>= 1), for
+/// any wavelet: each level halves its input (rounding up) and the deepest
+/// still needs 2 samples, so 2^(levels-1) + 1 — 65 for the paper's 7
+/// levels.
 std::size_t min_periodic_wavedec_length(std::size_t levels);
 
 /// Multi-level synthesis (waverec); returns a signal of the original length.
 RealVector waverec(const WaveletDecomposition& decomposition,
-                   const Wavelet& wavelet,
-                   ExtensionMode mode = ExtensionMode::kPeriodic);
+                   const Wavelet& wavelet);
 
 // Analysis. The periodization pad and approximation ping-pong buffers
 // come from `workspace` and the coefficients land in the caller-owned
@@ -106,17 +90,11 @@ RealVector waverec(const WaveletDecomposition& decomposition,
 // are reused, so a warm call performs no heap allocation. See
 // dsp/workspace.hpp.
 
-/// Single-level analysis. Requires at least 2 samples.
-void dwt_single_into(std::span<const Real> signal, const Wavelet& wavelet,
-                     Workspace& workspace, DwtLevel& out,
-                     ExtensionMode mode = ExtensionMode::kPeriodic);
-
 /// Multi-level analysis (wavedec). `levels` >= 1, and every level's input
 /// needs at least 2 samples (see min_periodic_wavedec_length).
 void wavedec_into(std::span<const Real> signal, const Wavelet& wavelet,
                   std::size_t levels, Workspace& workspace,
-                  WaveletDecomposition& out,
-                  ExtensionMode mode = ExtensionMode::kPeriodic);
+                  WaveletDecomposition& out);
 
 /// Fraction of total coefficient energy in each detail level plus the final
 /// approximation (levels()+1 entries summing to 1 for non-zero signals),

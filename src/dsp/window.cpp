@@ -7,29 +7,17 @@
 
 namespace esl::dsp {
 
-RealVector make_window(WindowKind kind, std::size_t n, bool periodic) {
-  expects(n >= 1, "make_window: n must be >= 1");
+RealVector hann_window(std::size_t n) {
+  expects(n >= 1, "hann_window: n must be >= 1");
   RealVector w(n, 1.0);
-  if (kind == WindowKind::kRectangular || n == 1) {
+  if (n == 1) {
     return w;
   }
-  const Real denom = static_cast<Real>(periodic ? n : n - 1);
+  const Real denom = static_cast<Real>(n);
   constexpr Real two_pi = 2.0 * std::numbers::pi_v<Real>;
   for (std::size_t i = 0; i < n; ++i) {
     const Real phase = two_pi * static_cast<Real>(i) / denom;
-    switch (kind) {
-      case WindowKind::kHann:
-        w[i] = 0.5 - 0.5 * std::cos(phase);
-        break;
-      case WindowKind::kHamming:
-        w[i] = 0.54 - 0.46 * std::cos(phase);
-        break;
-      case WindowKind::kBlackman:
-        w[i] = 0.42 - 0.5 * std::cos(phase) + 0.08 * std::cos(2.0 * phase);
-        break;
-      case WindowKind::kRectangular:
-        break;
-    }
+    w[i] = 0.5 - 0.5 * std::cos(phase);
   }
   return w;
 }
@@ -40,22 +28,6 @@ Real window_power(std::span<const Real> window) {
     sum += v * v;
   }
   return sum;
-}
-
-WindowKind parse_window(const std::string& name) {
-  if (name == "rectangular" || name == "boxcar") {
-    return WindowKind::kRectangular;
-  }
-  if (name == "hann") {
-    return WindowKind::kHann;
-  }
-  if (name == "hamming") {
-    return WindowKind::kHamming;
-  }
-  if (name == "blackman") {
-    return WindowKind::kBlackman;
-  }
-  throw InvalidArgument("parse_window: unknown window '" + name + "'");
 }
 
 }  // namespace esl::dsp

@@ -1,29 +1,17 @@
-// Tapering windows for spectral estimation.
+// The periodogram's taper: the periodic (DFT-even) Hann window.
 #pragma once
 
 #include <span>
-#include <string>
 
 #include "common/types.hpp"
 
 namespace esl::dsp {
 
-enum class WindowKind {
-  kRectangular,
-  kHann,
-  kHamming,
-  kBlackman,
-};
-
-/// Returns the n window coefficients (periodic=false gives the symmetric
-/// variant used for filter design; periodic=true the DFT-even variant used
-/// for spectral analysis).
-RealVector make_window(WindowKind kind, std::size_t n, bool periodic = true);
+/// The n periodic Hann coefficients 0.5 - 0.5 cos(2 pi i / n); a single
+/// sample is 1.
+RealVector hann_window(std::size_t n);
 
 /// Sum of squared window coefficients; PSD normalization term.
 Real window_power(std::span<const Real> window);
-
-/// Parses "hann", "hamming", "blackman" or "rectangular".
-WindowKind parse_window(const std::string& name);
 
 }  // namespace esl::dsp

@@ -7,12 +7,10 @@
 
 namespace esl::dsp {
 
-const RealVector& Workspace::window_cache(WindowKind kind, std::size_t n) {
-  if (window_length != n || window_kind != kind || window_coeffs.size() != n) {
-    window_coeffs = make_window(kind, n, /*periodic=*/true);
+const RealVector& Workspace::window_cache(std::size_t n) {
+  if (window_coeffs.size() != n) {
+    window_coeffs = hann_window(n);
     window_power_sum = window_power(window_coeffs);
-    window_length = n;
-    window_kind = kind;
   }
   return window_coeffs;
 }

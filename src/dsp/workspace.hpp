@@ -5,7 +5,7 @@
 // Workspace instead of the heap, and it is the transform's only spelling
 // (tools/lint_invariants.py rejects a `name(` beside a `name_into(`).
 // Buffers grow on first use and are retained, so a workspace that has
-// seen one window of a given geometry (length, taper, wavelet levels)
+// seen one window of a given geometry (length, wavelet levels)
 // performs zero heap allocations for every following window of the same
 // geometry. Warm equals cold: a call on a long-lived workspace, whatever
 // geometries it saw before, returns the same bits as the same call on a
@@ -55,7 +55,7 @@ class Workspace {
 
   /// rfft_into/fft_into/ifft_into write here; periodogram_into clobbers it.
   ComplexVector spectrum;
-  /// periodogram_into / welch_into result storage.
+  /// periodogram_into result storage.
   Psd psd;
   /// wavedec_into result storage (per-level detail buffers reused).
   WaveletDecomposition decomposition;
@@ -115,25 +115,22 @@ class Workspace {
   /// Bluestein convolution operands (padded to the fft size m).
   ComplexVector conv_a;
   ComplexVector conv_b;
-  /// Taper coefficients cached by (kind, length) plus their power sum.
+  /// Hann taper coefficients (keyed by their length) plus their power
+  /// sum.
   RealVector window_coeffs;
-  std::size_t window_length = 0;
-  WindowKind window_kind = WindowKind::kRectangular;
   Real window_power_sum = 0.0;
   /// Tapered copy of the periodogram input.
   RealVector tapered;
-  /// Welch per-segment PSD accumulator input.
-  Psd segment_psd;
   /// Odd-length periodization pad for the periodic DWT.
   RealVector padded;
   /// wavedec approximation ping-pong buffers.
   RealVector approx_ping;
   RealVector approx_pong;
 
-  /// Returns the cached taper for (kind, n), rebuilding it (and the cached
-  /// power sum) only when the key changes. Values match make_window()
+  /// Returns the cached Hann taper for length n, rebuilding it (and the
+  /// cached power sum) only when n changes. Values match hann_window()
   /// exactly.
-  const RealVector& window_cache(WindowKind kind, std::size_t n);
+  const RealVector& window_cache(std::size_t n);
 
   /// Returns the cached per-stage radix-2 twiddle table for length-n
   /// transforms in the requested direction, rebuilding both directions

@@ -54,23 +54,10 @@ Real renyi(std::span<const Real> probabilities, Real alpha) {
   return std::log(sum) / (1.0 - alpha);
 }
 
-Real tsallis(std::span<const Real> probabilities, Real q) {
-  check_probabilities(probabilities, "entropy::tsallis");
-  expects(q != 1.0, "entropy::tsallis: q = 1 is Shannon entropy");
-  Real sum = 0.0;
-  for (const Real p : probabilities) {
-    if (p > 0.0) {
-      sum += std::pow(p, q);
-    }
-  }
-  return (1.0 - sum) / (q - 1.0);
-}
-
 Real renyi_of_signal(std::span<const Real> signal, Real alpha,
                      std::size_t bins,
                      std::vector<std::size_t>& count_scratch,
                      RealVector& probability_scratch) {
-  // Same binning core as the Histogram class, counting into reused scratch.
   histogram_counts_into(signal, bins, count_scratch);
   const std::size_t total = signal.size();
   RealVector& p = probability_scratch;
@@ -79,12 +66,6 @@ Real renyi_of_signal(std::span<const Real> signal, Real alpha,
     p[i] = static_cast<Real>(count_scratch[i]) / static_cast<Real>(total);
   }
   return renyi(p, alpha);
-}
-
-Real shannon_of_signal(std::span<const Real> signal, std::size_t bins) {
-  const Histogram histogram(signal, bins);
-  const RealVector p = histogram.probabilities();
-  return shannon(p);
 }
 
 }  // namespace esl::entropy

@@ -1,5 +1,5 @@
-// Distribution entropies: Shannon, Rényi and Tsallis, over explicit
-// probability vectors or directly over signals via histogram binning.
+// Distribution entropies: Shannon and Rényi over explicit probability
+// vectors, and Rényi directly over signals via histogram binning.
 //
 // The paper's feature set uses the Rényi entropy of the third DWT detail
 // level of electrode F8T4 (§III-A).
@@ -21,9 +21,6 @@ Real shannon(std::span<const Real> probabilities);
 /// alpha -> 1 converges to Shannon entropy.
 Real renyi(std::span<const Real> probabilities, Real alpha);
 
-/// Tsallis entropy of order `q` (q != 1).
-Real tsallis(std::span<const Real> probabilities, Real q);
-
 /// Rényi entropy of a signal using a `bins`-bin histogram estimate.
 /// This is the "Rényi entropy of level-k DWT coefficients" feature. The
 /// histogram scratch (bin counts and probability mass; resized, capacity
@@ -32,8 +29,5 @@ Real renyi_of_signal(std::span<const Real> signal, Real alpha,
                      std::size_t bins,
                      std::vector<std::size_t>& count_scratch,
                      RealVector& probability_scratch);
-
-/// Shannon entropy of a signal via histogram binning.
-Real shannon_of_signal(std::span<const Real> signal, std::size_t bins = 16);
 
 }  // namespace esl::entropy

@@ -9,8 +9,8 @@ namespace esl::entropy {
 HistogramRange histogram_counts_into(std::span<const Real> values,
                                      std::size_t bins,
                                      std::vector<std::size_t>& counts) {
-  expects(bins >= 1, "Histogram: need at least one bin");
-  expects(!values.empty(), "Histogram: empty input");
+  expects(bins >= 1, "histogram_counts_into: need at least one bin");
+  expects(!values.empty(), "histogram_counts_into: empty input");
   const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
   const Real low = *lo_it;
   const Real high = *hi_it;
@@ -26,21 +26,6 @@ HistogramRange histogram_counts_into(std::span<const Real> values,
     ++counts[bin];
   }
   return {low, high};
-}
-
-Histogram::Histogram(std::span<const Real> values, std::size_t bins) {
-  const HistogramRange range = histogram_counts_into(values, bins, counts_);
-  low_ = range.low;
-  high_ = range.high;
-  total_ = values.size();
-}
-
-RealVector Histogram::probabilities() const {
-  RealVector p(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    p[i] = static_cast<Real>(counts_[i]) / static_cast<Real>(total_);
-  }
-  return p;
 }
 
 }  // namespace esl::entropy

@@ -51,34 +51,6 @@ std::size_t ordinal_pattern_index(std::span<const Real> window) {
   return index;
 }
 
-RealVector ordinal_pattern_distribution(std::span<const Real> signal,
-                                        std::size_t order, std::size_t delay) {
-  expects(order >= 2 && order <= k_max_permutation_order,
-          "ordinal_pattern_distribution: order must lie in [2, 10]");
-  expects(delay >= 1, "ordinal_pattern_distribution: delay must be >= 1");
-  const std::size_t span_length = (order - 1) * delay + 1;
-  expects(signal.size() >= span_length,
-          "ordinal_pattern_distribution: signal shorter than one embedding");
-
-  const std::size_t patterns = factorial(order);
-  const std::size_t windows = signal.size() - span_length + 1;
-  std::array<Real, k_max_permutation_order> embedding{};
-
-  RealVector p(patterns, 0.0);
-  std::vector<std::size_t> counts(patterns, 0);
-  for (std::size_t t = 0; t < windows; ++t) {
-    for (std::size_t k = 0; k < order; ++k) {
-      embedding[k] = signal[t + k * delay];
-    }
-    ++counts[ordinal_pattern_index(
-        std::span<const Real>(embedding.data(), order))];
-  }
-  for (std::size_t i = 0; i < patterns; ++i) {
-    p[i] = static_cast<Real>(counts[i]) / static_cast<Real>(windows);
-  }
-  return p;
-}
-
 Real permutation_entropy(std::span<const Real> signal, std::size_t order,
                          std::size_t delay,
                          std::vector<std::size_t>& count_scratch) {
@@ -122,9 +94,7 @@ Real permutation_entropy(std::span<const Real> signal, std::size_t order,
     return h;
   }
 
-  // Dense path: histogram over all order! bins in the count scratch; each
-  // occupied bin contributes exactly the probability the allocating
-  // ordinal_pattern_distribution() would have produced.
+  // Dense path: histogram over all order! bins in the count scratch.
   std::vector<std::size_t>& counts = count_scratch;
   counts.assign(patterns, 0);
   for (std::size_t t = 0; t < windows; ++t) {

@@ -19,13 +19,6 @@ inline constexpr std::size_t k_max_permutation_order = 10;
 /// Ranks compare values, with earlier indices winning ties.
 std::size_t ordinal_pattern_index(std::span<const Real> window);
 
-/// Distribution of ordinal patterns of order `order` and delay `delay`
-/// over the signal; vector has order! entries summing to 1.
-/// Requires signal.size() >= (order - 1) * delay + 1.
-RealVector ordinal_pattern_distribution(std::span<const Real> signal,
-                                        std::size_t order,
-                                        std::size_t delay = 1);
-
 /// Permutation entropy in nats, at most log(order!). If the signal is
 /// shorter than one embedding vector the entropy is defined as 0 (no
 /// information), which keeps the feature extractor total on very short

@@ -72,41 +72,4 @@ Real sample_entropy_relative(std::span<const Real> signal, std::size_t m,
   return sample_entropy(signal, m, k * sigma);
 }
 
-Real approximate_entropy(std::span<const Real> signal, std::size_t m, Real r) {
-  expects(m >= 1, "approximate_entropy: m must be >= 1");
-  expects(r >= 0.0, "approximate_entropy: tolerance must be non-negative");
-  const std::size_t n = signal.size();
-  if (n < m + 2) {
-    return 0.0;
-  }
-  const auto phi = [&](std::size_t length) {
-    const std::size_t count = n - length + 1;
-    Real sum_log = 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-      std::size_t matches = 0;  // includes the self-match i == j
-      for (std::size_t j = 0; j < count; ++j) {
-        if (templates_match(signal, i, j, length, r)) {
-          ++matches;
-        }
-      }
-      sum_log += std::log(static_cast<Real>(matches) / static_cast<Real>(count));
-    }
-    return sum_log / static_cast<Real>(count);
-  };
-  return phi(m) - phi(m + 1);
-}
-
-Real approximate_entropy_relative(std::span<const Real> signal, std::size_t m,
-                                  Real k) {
-  expects(k > 0.0, "approximate_entropy_relative: k must be positive");
-  if (signal.size() < m + 2) {
-    return 0.0;
-  }
-  const Real sigma = stats::stddev(signal);
-  if (sigma <= 0.0) {
-    return 0.0;
-  }
-  return approximate_entropy(signal, m, k * sigma);
-}
-
 }  // namespace esl::entropy

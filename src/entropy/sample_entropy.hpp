@@ -1,4 +1,4 @@
-// Sample entropy (Richman & Moorman) and approximate entropy (Pincus).
+// Sample entropy (Richman & Moorman).
 //
 // The paper's feature set uses the sample entropy of the sixth DWT detail
 // level with tolerance r = k * sigma for k = 0.2 and k = 0.35 (§III-A,
@@ -25,13 +25,5 @@ Real sample_entropy(std::span<const Real> signal, std::size_t m, Real r);
 /// Sample entropy with relative tolerance r = k * stddev(signal).
 Real sample_entropy_relative(std::span<const Real> signal, std::size_t m,
                              Real k);
-
-/// Approximate entropy (self-matches included), template length `m`,
-/// absolute tolerance `r`. Returns 0 for signals shorter than m+2 samples.
-Real approximate_entropy(std::span<const Real> signal, std::size_t m, Real r);
-
-/// Approximate entropy with relative tolerance r = k * stddev(signal).
-Real approximate_entropy_relative(std::span<const Real> signal, std::size_t m,
-                                  Real k);
 
 }  // namespace esl::entropy

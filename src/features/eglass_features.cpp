@@ -235,8 +235,7 @@ void append_spectral_features(std::span<const Real> x, Real sample_rate_hz,
 /// over the level, and its share of the energy.
 void append_wavelet_features(std::span<const Real> x, const dsp::Wavelet& db4,
                              RealVector& out, dsp::Workspace& ws) {
-  dsp::wavedec_into(x, db4, k_dwt_levels, ws, ws.decomposition,
-                    dsp::ExtensionMode::kPeriodic);
+  dsp::wavedec_into(x, db4, k_dwt_levels, ws, ws.decomposition);
   const dsp::WaveletDecomposition& dec = ws.decomposition;
   dsp::wavelet_energy_distribution_into(dec, ws.energy);
   const RealVector& energy = ws.energy;

@@ -53,8 +53,7 @@ void PaperFeatureExtractor::extract_into(
   out[3] = dsp::relative_band_power(ws.psd, dsp::bands::kTheta);
 
   // Nonlinear features of the F8-T4 DWT decomposition (db4, level 7).
-  dsp::wavedec_into(f8t4, db4_, config_.dwt_levels, ws, ws.decomposition,
-                    dsp::ExtensionMode::kPeriodic);
+  dsp::wavedec_into(f8t4, db4_, config_.dwt_levels, ws, ws.decomposition);
   const dsp::WaveletDecomposition& dec = ws.decomposition;
   const RealVector& level7 = dec.detail_at_level(7);
   const RealVector& level6 = dec.detail_at_level(6);

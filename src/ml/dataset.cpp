@@ -30,22 +30,6 @@ void Dataset::check() const {
   }
 }
 
-void shuffle_rows(Dataset& data, Rng& rng) {
-  data.check();
-  std::vector<std::size_t> order(data.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  rng.shuffle(order);
-  Matrix shuffled_x = data.x.select_rows(order);
-  std::vector<int> shuffled_y(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    shuffled_y[i] = data.y[order[i]];
-  }
-  data.x = std::move(shuffled_x);
-  data.y = std::move(shuffled_y);
-}
-
 Dataset balance_classes(const Dataset& data, Rng& rng) {
   data.check();
   std::vector<std::size_t> pos;
@@ -71,29 +55,6 @@ Dataset balance_classes(const Dataset& data, Rng& rng) {
     out.push_back(data.x.row(i), data.y[i]);
   }
   return out;
-}
-
-Split stratified_split(const Dataset& data, Real train_fraction, Rng& rng) {
-  data.check();
-  expects(train_fraction > 0.0 && train_fraction < 1.0,
-          "stratified_split: train_fraction must lie in (0, 1)");
-  Split split;
-  for (const int label : {0, 1}) {
-    std::vector<std::size_t> indices;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      if (data.y[i] == label) {
-        indices.push_back(i);
-      }
-    }
-    rng.shuffle(indices);
-    const auto train_count = static_cast<std::size_t>(
-        train_fraction * static_cast<Real>(indices.size()));
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      (i < train_count ? split.train : split.test)
-          .push_back(data.x.row(indices[i]), label);
-    }
-  }
-  return split;
 }
 
 }  // namespace esl::ml

@@ -1,4 +1,4 @@
-// Labeled dataset container and split/balance utilities for the
+// Labeled dataset container and class balancing for the
 // supervised real-time detector experiments (§VI-B).
 #pragma once
 
@@ -31,18 +31,8 @@ struct Dataset {
   void check() const;
 };
 
-/// Deterministically shuffles rows.
-void shuffle_rows(Dataset& data, Rng& rng);
-
 /// Balances classes by randomly subsampling the majority class to the
 /// minority count ("the training set is balanced", §VI-B).
 Dataset balance_classes(const Dataset& data, Rng& rng);
-
-/// Stratified train/test split; `train_fraction` in (0, 1).
-struct Split {
-  Dataset train;
-  Dataset test;
-};
-Split stratified_split(const Dataset& data, Real train_fraction, Rng& rng);
 
 }  // namespace esl::ml

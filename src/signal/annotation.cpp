@@ -22,13 +22,4 @@ std::vector<Interval> seizure_intervals(const std::vector<Annotation>& all) {
   return out;
 }
 
-bool in_seizure(const std::vector<Annotation>& annotations, Seconds t) {
-  for (const auto& a : annotations) {
-    if (a.kind == EventKind::kSeizure && a.interval.contains(t)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace esl::signal

@@ -45,7 +45,4 @@ struct Annotation {
 /// onset.
 std::vector<Interval> seizure_intervals(const std::vector<Annotation>& all);
 
-/// True when `t` falls inside any seizure interval.
-bool in_seizure(const std::vector<Annotation>& annotations, Seconds t);
-
 }  // namespace esl::signal

@@ -1,6 +1,5 @@
 #include "signal/record_io.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -175,109 +174,6 @@ EegRecord read_csv_file(const std::string& path) {
     throw DataError("read_csv_file: cannot open '" + path + "'");
   }
   return read_csv(in);
-}
-
-namespace {
-
-constexpr char k_magic[4] = {'E', 'S', 'L', 'R'};
-constexpr std::uint32_t k_version = 1;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in.good()) {
-    throw DataError("record_io: truncated binary record");
-  }
-  return value;
-}
-
-void write_string(std::ostream& out, const std::string& s) {
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& in) {
-  const auto size = read_pod<std::uint32_t>(in);
-  std::string s(size, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(size));
-  if (!in.good()) {
-    throw DataError("record_io: truncated string in binary record");
-  }
-  return s;
-}
-
-}  // namespace
-
-void write_binary_file(const EegRecord& record, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  expects(out.good(), "write_binary_file: cannot open '" + path + "'");
-  out.write(k_magic, sizeof(k_magic));
-  write_pod(out, k_version);
-  write_string(out, record.id());
-  write_pod(out, record.sample_rate_hz());
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(record.channel_count()));
-  write_pod<std::uint64_t>(out, static_cast<std::uint64_t>(record.length_samples()));
-  write_pod<std::uint32_t>(out,
-                           static_cast<std::uint32_t>(record.annotations().size()));
-  for (const auto& c : record.channels()) {
-    write_string(out, c.electrodes.label());
-    out.write(reinterpret_cast<const char*>(c.samples.data()),
-              static_cast<std::streamsize>(c.samples.size() * sizeof(Real)));
-  }
-  for (const auto& a : record.annotations()) {
-    write_pod<std::uint8_t>(out, a.kind == EventKind::kSeizure ? 0 : 1);
-    write_pod(out, a.interval.onset);
-    write_pod(out, a.interval.offset);
-  }
-  ensures(out.good(), "write_binary_file: write failed for '" + path + "'");
-}
-
-EegRecord read_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw DataError("read_binary_file: cannot open '" + path + "'");
-  }
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, k_magic, sizeof(k_magic)) != 0) {
-    throw DataError("read_binary_file: bad magic in '" + path + "'");
-  }
-  const auto version = read_pod<std::uint32_t>(in);
-  if (version != k_version) {
-    throw DataError("read_binary_file: unsupported version");
-  }
-  const std::string id = read_string(in);
-  const auto sample_rate = read_pod<Real>(in);
-  const auto channel_count = read_pod<std::uint32_t>(in);
-  const auto length = read_pod<std::uint64_t>(in);
-  const auto annotation_count = read_pod<std::uint32_t>(in);
-
-  EegRecord record(sample_rate, id);
-  for (std::uint32_t c = 0; c < channel_count; ++c) {
-    const std::string label = read_string(in);
-    RealVector samples(static_cast<std::size_t>(length));
-    in.read(reinterpret_cast<char*>(samples.data()),
-            static_cast<std::streamsize>(samples.size() * sizeof(Real)));
-    if (!in.good()) {
-      throw DataError("read_binary_file: truncated samples");
-    }
-    record.add_channel(parse_pair(label), std::move(samples));
-  }
-  for (std::uint32_t a = 0; a < annotation_count; ++a) {
-    Annotation annotation;
-    annotation.kind = read_pod<std::uint8_t>(in) == 0 ? EventKind::kSeizure
-                                                      : EventKind::kArtifact;
-    annotation.interval.onset = read_pod<Real>(in);
-    annotation.interval.offset = read_pod<Real>(in);
-    record.add_annotation(annotation);
-  }
-  return record;
 }
 
 }  // namespace esl::signal

@@ -1,11 +1,6 @@
-// Record serialization.
-//
-// Two formats:
-//  * CSV with '#'-prefixed metadata lines — human-inspectable, easy to
-//    produce from real CHB-MIT data with any EDF exporter, so users can
-//    run the pipeline on real recordings;
-//  * a compact little-endian binary format ("ESLR") for round-tripping
-//    simulator output.
+// Record serialization as CSV with '#'-prefixed metadata lines —
+// human-inspectable, easy to produce from real CHB-MIT data with any EDF
+// exporter, so users can run the pipeline on real recordings.
 #pragma once
 
 #include <iosfwd>
@@ -24,9 +19,5 @@ void write_csv_file(const EegRecord& record, const std::string& path);
 /// input (inconsistent row width, missing metadata, bad numbers).
 EegRecord read_csv(std::istream& in);
 EegRecord read_csv_file(const std::string& path);
-
-/// Binary round-trip (exact doubles).
-void write_binary_file(const EegRecord& record, const std::string& path);
-EegRecord read_binary_file(const std::string& path);
 
 }  // namespace esl::signal

@@ -138,12 +138,4 @@ std::vector<PatientProfile> make_cohort(std::uint64_t seed) {
   return cohort;
 }
 
-std::size_t total_seizures(const std::vector<PatientProfile>& cohort) {
-  std::size_t total = 0;
-  for (const auto& p : cohort) {
-    total += p.seizure_count;
-  }
-  return total;
-}
-
 }  // namespace esl::sim

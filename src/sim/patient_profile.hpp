@@ -71,7 +71,4 @@ struct PatientProfile {
 /// `seed` decorrelates entire cohorts (useful for robustness sweeps).
 std::vector<PatientProfile> make_cohort(std::uint64_t seed = 20190325);
 
-/// Sum of seizure counts across the cohort (45 for the default cohort).
-std::size_t total_seizures(const std::vector<PatientProfile>& cohort);
-
 }  // namespace esl::sim

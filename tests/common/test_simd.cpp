@@ -1,17 +1,15 @@
 // Unit tests for the esl::simd pack vocabulary (common/simd.hpp).
 //
 // The kernel suites prove end-to-end parity; these pin the individual
-// pack operations — load/store/broadcast, arithmetic, the unfused fma,
-// compare/select masks (including NaN semantics) and the interleaved-
-// pair shuffles — at every width the abstraction ships (1, 2, 4), so a
-// miscompiled shuffle or mask can't hide behind a coincidentally-correct
-// kernel.
+// pack operations — load/store/broadcast, arithmetic, the unfused fma
+// and the interleaved-pair shuffles — at every width the abstraction
+// ships (1, 2, 4), so a miscompiled shuffle can't hide behind a
+// coincidentally-correct kernel.
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <string>
 
 namespace esl::simd {
@@ -47,24 +45,6 @@ void expect_pack_ops() {
     EXPECT_EQ((a - b).lane(i), input_a[i] - input_b[i]);
     EXPECT_EQ((a * b).lane(i), input_a[i] * input_b[i]);
     EXPECT_EQ(fma(a, b, c).lane(i), input_a[i] * input_b[i] + 7.0);
-  }
-
-  // le / select, including the NaN-compares-false contract the forest
-  // traversal relies on (NaN rows must go right).
-  Real with_nan[W];
-  for (int i = 0; i < W; ++i) {
-    with_nan[i] = input_a[i];
-  }
-  with_nan[0] = std::numeric_limits<Real>::quiet_NaN();
-  const P n = P::load(with_nan);
-  const Mask<Real, W> mask = le(n, b);
-  EXPECT_FALSE(mask.lane(0));  // NaN <= x is false
-  for (int i = 1; i < W; ++i) {
-    EXPECT_EQ(mask.lane(i), input_a[i] <= input_b[i]);
-  }
-  const P picked = select(mask, a, c);
-  for (int i = 0; i < W; ++i) {
-    EXPECT_EQ(picked.lane(i), mask.lane(i) ? input_a[i] : 7.0);
   }
 }
 

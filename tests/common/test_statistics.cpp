@@ -34,16 +34,6 @@ TEST(Variance, ZeroForConstant) {
   EXPECT_DOUBLE_EQ(variance(c), 0.0);
 }
 
-TEST(SampleVariance, KnownValue) {
-  // Sample variance of 1..5 is 2.5.
-  EXPECT_DOUBLE_EQ(sample_variance(k_simple), 2.5);
-}
-
-TEST(SampleVariance, NeedsTwoValues) {
-  const RealVector one = {1.0};
-  EXPECT_THROW(sample_variance(one), InvalidArgument);
-}
-
 TEST(Stddev, SqrtOfVariance) {
   EXPECT_DOUBLE_EQ(stddev(k_simple), std::sqrt(2.0));
 }

@@ -6,7 +6,6 @@
 #include <numbers>
 
 #include "common/error.hpp"
-#include "common/random.hpp"
 #include "common/statistics.hpp"
 
 namespace esl::dsp {
@@ -108,102 +107,6 @@ TEST(Biquad, ResetClearsState) {
   const RealVector second = lp.filter(x);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_DOUBLE_EQ(first[i], second[i]);
-  }
-}
-
-TEST(Notch, RemovesCenterKeepsNeighbors) {
-  const Biquad n = notch(50.0, 30.0, k_fs);
-  EXPECT_LT(n.magnitude_at(50.0, k_fs), 0.01);
-  EXPECT_GT(n.magnitude_at(40.0, k_fs), 0.9);
-  EXPECT_GT(n.magnitude_at(60.0, k_fs), 0.9);
-}
-
-TEST(FiltFilt, RemovesGroupDelay) {
-  // A zero-phase filtered sine should stay aligned with the input.
-  const RealVector x = sine(4.0, 2048);
-  const RealVector y =
-      filtfilt(butterworth_lowpass(2, 20.0, k_fs), x);
-  ASSERT_EQ(y.size(), x.size());
-  // Compare mid-signal samples directly (edges have transients).
-  for (std::size_t i = 512; i < 1536; ++i) {
-    EXPECT_NEAR(y[i], x[i], 0.03);
-  }
-}
-
-TEST(FirLowpass, DcGainIsUnity) {
-  const RealVector taps = fir_lowpass(63, 20.0, k_fs);
-  Real sum = 0.0;
-  for (const Real t : taps) {
-    sum += t;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(FirLowpass, TapsAreSymmetric) {
-  const RealVector taps = fir_lowpass(63, 20.0, k_fs);
-  for (std::size_t i = 0; i < taps.size() / 2; ++i) {
-    EXPECT_NEAR(taps[i], taps[taps.size() - 1 - i], 1e-12);
-  }
-}
-
-TEST(FirHighpass, BlocksDcPassesHigh) {
-  const RealVector taps = fir_highpass(63, 20.0, k_fs);
-  const RealVector dc(512, 1.0);
-  const RealVector blocked = fir_filter(taps, dc);
-  EXPECT_LT(std::abs(blocked[256]), 1e-10);
-  const RealVector high = fir_filter(taps, sine(60.0, 512));
-  EXPECT_NEAR(steady_rms(high), std::sqrt(0.5), 0.05);
-}
-
-TEST(FirHighpass, RequiresOddTaps) {
-  EXPECT_THROW(fir_highpass(64, 20.0, k_fs), InvalidArgument);
-}
-
-TEST(FirBandpass, PassesCenterRejectsOutside) {
-  // A 4 Hz passband needs a long kernel: 257 taps at 256 Hz gives a
-  // ~3 Hz transition band, enough for near-unity center gain.
-  const RealVector taps = fir_bandpass(257, 8.0, 12.0, k_fs);
-  const RealVector center = fir_filter(taps, sine(10.0, 2048));
-  const RealVector low = fir_filter(taps, sine(2.0, 2048));
-  const RealVector high = fir_filter(taps, sine(40.0, 2048));
-  EXPECT_GT(steady_rms(center), 0.6);
-  EXPECT_LT(steady_rms(low), 0.05);
-  EXPECT_LT(steady_rms(high), 0.05);
-}
-
-TEST(FirFilter, ImpulseReproducesTaps) {
-  const RealVector taps = {0.25, 0.5, 0.25};
-  RealVector impulse(9, 0.0);
-  impulse[4] = 1.0;
-  const RealVector y = fir_filter(taps, impulse);
-  // Group delay compensated: response centered on the impulse.
-  EXPECT_NEAR(y[3], 0.25, 1e-12);
-  EXPECT_NEAR(y[4], 0.5, 1e-12);
-  EXPECT_NEAR(y[5], 0.25, 1e-12);
-}
-
-TEST(Decimate, HalvesLengthAndKeepsSlowContent) {
-  const RealVector x = sine(5.0, 1024);
-  const RealVector y = decimate(x, 2, k_fs);
-  EXPECT_EQ(y.size(), 512u);
-  // 5 Hz tone survives decimation to fs = 128.
-  EXPECT_NEAR(stats::rms(std::span<const Real>(y).subspan(128, 256)),
-              std::sqrt(0.5), 0.05);
-}
-
-TEST(Decimate, RemovesAliasingContent) {
-  // 100 Hz would alias at fs/2 = 64 after decimation; must be filtered out.
-  const RealVector x = sine(100.0, 2048);
-  const RealVector y = decimate(x, 2, k_fs);
-  EXPECT_LT(stats::rms(std::span<const Real>(y).subspan(256, 512)), 0.02);
-}
-
-TEST(Decimate, FactorOneIsIdentity) {
-  const RealVector x = sine(5.0, 128);
-  const RealVector y = decimate(x, 1, k_fs);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_DOUBLE_EQ(y[i], x[i]);
   }
 }
 

@@ -111,26 +111,32 @@ TEST(Wavelet, HaarIsDb1) {
 }
 
 // --- Single-level transform -------------------------------------------
+// One analysis level is wavedec_into(..., 1, ...): details[0] and approx.
+
+WaveletDecomposition single_level(const RealVector& x, const Wavelet& w,
+                                  Workspace& ws) {
+  WaveletDecomposition level;
+  wavedec_into(x, w, 1, ws, level);
+  return level;
+}
 
 TEST(Dwt, HaarKnownValues) {
   const RealVector x = {1.0, 3.0, 2.0, 6.0};
   Workspace ws;
-  DwtLevel level;
-  dwt_single_into(x, Wavelet::haar(), ws, level, ExtensionMode::kPeriodic);
+  const WaveletDecomposition level = single_level(x, Wavelet::haar(), ws);
   const Real s = std::sqrt(2.0);
   ASSERT_EQ(level.approx.size(), 2u);
   EXPECT_NEAR(level.approx[0], 4.0 / s, 1e-12);
   EXPECT_NEAR(level.approx[1], 8.0 / s, 1e-12);
-  EXPECT_NEAR(level.detail[0], -2.0 / s, 1e-12);
-  EXPECT_NEAR(level.detail[1], -4.0 / s, 1e-12);
+  EXPECT_NEAR(level.details[0][0], -2.0 / s, 1e-12);
+  EXPECT_NEAR(level.details[0][1], -4.0 / s, 1e-12);
 }
 
 TEST(Dwt, PeriodicPreservesEnergy) {
   const RealVector x = random_signal(256, 42);
   Workspace ws;
-  DwtLevel level;
-  dwt_single_into(x, Wavelet::daubechies(4), ws, level,
-                  ExtensionMode::kPeriodic);
+  const WaveletDecomposition level =
+      single_level(x, Wavelet::daubechies(4), ws);
   Real in = 0.0;
   for (const Real v : x) {
     in += v * v;
@@ -139,7 +145,7 @@ TEST(Dwt, PeriodicPreservesEnergy) {
   for (const Real v : level.approx) {
     out += v * v;
   }
-  for (const Real v : level.detail) {
+  for (const Real v : level.details[0]) {
     out += v * v;
   }
   EXPECT_NEAR(out, in, 1e-9 * in);
@@ -148,52 +154,33 @@ TEST(Dwt, PeriodicPreservesEnergy) {
 TEST(Dwt, ConstantSignalHasZeroDetail) {
   const RealVector x(64, 3.0);
   Workspace ws;
-  DwtLevel level;
   for (int vm : {1, 2, 3, 4}) {
-    dwt_single_into(x, Wavelet::daubechies(vm), ws, level,
-                    ExtensionMode::kPeriodic);
-    for (const Real d : level.detail) {
+    const WaveletDecomposition level =
+        single_level(x, Wavelet::daubechies(vm), ws);
+    for (const Real d : level.details[0]) {
       EXPECT_NEAR(d, 0.0, 1e-12);
     }
   }
 }
 
-TEST(Dwt, SymmetricModeCoefficientLength) {
-  // pywt: len = floor((n + filter - 1) / 2).
-  const RealVector x = random_signal(100, 7);
-  Workspace ws;
-  DwtLevel level;
-  dwt_single_into(x, Wavelet::daubechies(4), ws, level,
-                  ExtensionMode::kSymmetric);
-  EXPECT_EQ(level.approx.size(), (100 + 8 - 1) / 2);
-  dwt_single_into(x, Wavelet::haar(), ws, level, ExtensionMode::kSymmetric);
-  EXPECT_EQ(level.approx.size(), (100 + 2 - 1) / 2);
-}
-
 TEST(Dwt, OddLengthPeriodicPads) {
   const RealVector x = random_signal(33, 8);
   Workspace ws;
-  DwtLevel level;
-  dwt_single_into(x, Wavelet::haar(), ws, level, ExtensionMode::kPeriodic);
-  EXPECT_EQ(level.approx.size(), 17u);
+  EXPECT_EQ(single_level(x, Wavelet::haar(), ws).approx.size(), 17u);
 }
 
 // --- Perfect reconstruction -------------------------------------------
 
 class ReconstructionTest
-    : public ::testing::TestWithParam<std::tuple<int, std::size_t, ExtensionMode>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
 
 TEST_P(ReconstructionTest, SingleLevelRoundTrip) {
-  const auto [vm, n, mode] = GetParam();
+  const auto [vm, n] = GetParam();
   const Wavelet w = Wavelet::daubechies(vm);
-  if (mode == ExtensionMode::kSymmetric && 2 * ((n + w.length() - 1) / 2) < w.length()) {
-    GTEST_SKIP() << "signal too short for symmetric reconstruction";
-  }
   const RealVector x = random_signal(n, 100 + n);
   Workspace ws;
-  DwtLevel level;
-  dwt_single_into(x, w, ws, level, mode);
-  const RealVector back = idwt_single(level.approx, level.detail, w, mode, n);
+  const WaveletDecomposition level = single_level(x, w, ws);
+  const RealVector back = idwt_single(level.approx, level.details[0], w, n);
   EXPECT_LT(max_abs_error(back, x), 1e-10) << "vm=" << vm << " n=" << n;
 }
 
@@ -202,9 +189,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
                        ::testing::Values(std::size_t{16}, std::size_t{37},
                                          std::size_t{64}, std::size_t{100},
-                                         std::size_t{256}),
-                       ::testing::Values(ExtensionMode::kPeriodic,
-                                         ExtensionMode::kSymmetric)));
+                                         std::size_t{256})));
 
 class MultiLevelTest : public ::testing::TestWithParam<std::size_t> {};
 
@@ -214,19 +199,8 @@ TEST_P(MultiLevelTest, WavedecWaverecRoundTripPeriodic) {
   const Wavelet db4 = Wavelet::daubechies(4);
   Workspace ws;
   WaveletDecomposition dec;
-  wavedec_into(x, db4, levels, ws, dec, ExtensionMode::kPeriodic);
-  const RealVector back = waverec(dec, db4, ExtensionMode::kPeriodic);
-  EXPECT_LT(max_abs_error(back, x), 1e-9);
-}
-
-TEST_P(MultiLevelTest, WavedecWaverecRoundTripSymmetric) {
-  const std::size_t levels = GetParam();
-  const RealVector x = random_signal(512, 56);
-  const Wavelet db2 = Wavelet::daubechies(2);
-  Workspace ws;
-  WaveletDecomposition dec;
-  wavedec_into(x, db2, levels, ws, dec, ExtensionMode::kSymmetric);
-  const RealVector back = waverec(dec, db2, ExtensionMode::kSymmetric);
+  wavedec_into(x, db4, levels, ws, dec);
+  const RealVector back = waverec(dec, db4);
   EXPECT_LT(max_abs_error(back, x), 1e-9);
 }
 
@@ -238,8 +212,7 @@ TEST(Wavedec, PaperConfigurationShape) {
   const RealVector x = random_signal(1024, 77);
   Workspace ws;
   WaveletDecomposition dec;
-  wavedec_into(x, Wavelet::daubechies(4), 7, ws, dec,
-               ExtensionMode::kPeriodic);
+  wavedec_into(x, Wavelet::daubechies(4), 7, ws, dec);
   EXPECT_EQ(dec.levels(), 7u);
   EXPECT_EQ(dec.detail_at_level(1).size(), 512u);
   EXPECT_EQ(dec.detail_at_level(6).size(), 16u);
@@ -254,15 +227,6 @@ TEST(Wavedec, DetailLevelAccessorValidatesRange) {
   wavedec_into(x, Wavelet::haar(), 3, ws, dec);
   EXPECT_THROW(dec.detail_at_level(0), InvalidArgument);
   EXPECT_THROW(dec.detail_at_level(4), InvalidArgument);
-}
-
-TEST(Wavedec, MaxLevelsMatchesPywtRule) {
-  const Wavelet db4 = Wavelet::daubechies(4);
-  // floor(log2(1024 / 7)) = 7.
-  EXPECT_EQ(max_decomposition_levels(1024, db4), 7u);
-  EXPECT_EQ(max_decomposition_levels(256, db4), 5u);
-  const Wavelet haar = Wavelet::haar();
-  EXPECT_EQ(max_decomposition_levels(256, haar), 8u);
 }
 
 TEST(Wavedec, SeparatesFrequencyBands) {
@@ -313,14 +277,11 @@ TEST(Dwt, LinearityOfAnalysis) {
   }
   const Wavelet db3 = Wavelet::daubechies(3);
   Workspace ws;
-  DwtLevel da;
-  DwtLevel db;
-  DwtLevel dc;
-  dwt_single_into(a, db3, ws, da, ExtensionMode::kPeriodic);
-  dwt_single_into(b, db3, ws, db, ExtensionMode::kPeriodic);
-  dwt_single_into(combo, db3, ws, dc, ExtensionMode::kPeriodic);
-  for (std::size_t i = 0; i < dc.detail.size(); ++i) {
-    EXPECT_NEAR(dc.detail[i], 2.0 * da.detail[i] - 0.5 * db.detail[i], 1e-10);
+  const RealVector da = single_level(a, db3, ws).details[0];
+  const RealVector db = single_level(b, db3, ws).details[0];
+  const RealVector dc = single_level(combo, db3, ws).details[0];
+  for (std::size_t i = 0; i < dc.size(); ++i) {
+    EXPECT_NEAR(dc[i], 2.0 * da[i] - 0.5 * db[i], 1e-10);
   }
 }
 
@@ -345,9 +306,7 @@ TEST(Wavedec, MinLengthIsTheShortestDecomposableSignal) {
 TEST(Idwt, RejectsMismatchedCoefficients) {
   const RealVector a(8, 1.0);
   const RealVector d(7, 0.0);
-  EXPECT_THROW(
-      idwt_single(a, d, Wavelet::haar(), ExtensionMode::kPeriodic, 16),
-      InvalidArgument);
+  EXPECT_THROW(idwt_single(a, d, Wavelet::haar(), 16), InvalidArgument);
 }
 
 }  // namespace

@@ -3,10 +3,9 @@
 // Warm equals cold: every `*_into(..., Workspace&)` call on one
 // long-lived workspace has to reproduce the same call on a fresh
 // workspace exactly — across odd / even / power-of-two lengths (radix-2
-// vs Bluestein FFT, odd-length DWT periodization), 1–7 decomposition
-// levels, both extension modes and all taper kinds. Reusing the
-// workspace across geometries exercises the twiddle, chirp and taper
-// cache invalidation. Power-of-two FFTs are additionally held to the
+// vs Bluestein FFT, odd-length DWT periodization) and 1–7 decomposition
+// levels. Reusing the workspace across geometries exercises the
+// twiddle, chirp and taper cache invalidation. Power-of-two FFTs are additionally held to the
 // scalar fft_radix2_inplace reference.
 #include <gtest/gtest.h>
 
@@ -123,14 +122,10 @@ TEST(WorkspaceParity, PeriodogramMatchesAllocatingPath) {
   Psd expected;
   for (const std::size_t n : k_lengths) {
     const RealVector x = noise(n, 2 * n);
-    for (const WindowKind kind :
-         {WindowKind::kHann, WindowKind::kHamming, WindowKind::kBlackman,
-          WindowKind::kRectangular}) {
-      periodogram_into(x, 256.0, ws, out, kind);
-      Workspace fresh;
-      periodogram_into(x, 256.0, fresh, expected, kind);
-      expect_identical(expected, out, "periodogram");
-    }
+    periodogram_into(x, 256.0, ws, out);
+    Workspace fresh;
+    periodogram_into(x, 256.0, fresh, expected);
+    expect_identical(expected, out, "periodogram");
   }
 }
 
@@ -146,41 +141,18 @@ TEST(WorkspaceParity, PeriodogramIntoWorkspacePsdSlot) {
   expect_identical(expected, ws.psd, "periodogram into slot");
 }
 
-TEST(WorkspaceParity, WelchMatchesAllocatingPath) {
-  Workspace ws;
-  Psd out;
-  Psd expected;
-  const RealVector x = noise(5000, 6);
-  for (const Real overlap : {0.0, 0.25, 0.5}) {
-    welch_into(x, 256.0, 1024, ws, out, overlap);
-    Workspace fresh;
-    welch_into(x, 256.0, 1024, fresh, expected, overlap);
-    expect_identical(expected, out, "welch");
-  }
-  // Short-signal fallback to a single periodogram.
-  const RealVector shorty = noise(512, 7);
-  welch_into(shorty, 256.0, 1024, ws, out);
-  Workspace fresh;
-  periodogram_into(shorty, 256.0, fresh, expected);
-  expect_identical(expected, out, "welch fallback");
-}
-
 TEST(WorkspaceParity, DwtSingleMatchesAllocatingPath) {
+  // One analysis level, every Daubechies bank, even and odd lengths.
   Workspace ws;
-  DwtLevel out;
-  DwtLevel expected;
+  WaveletDecomposition expected;
   for (const std::size_t n : {16u, 33u, 256u, 1000u, 1023u}) {
     const RealVector x = noise(n, 3 * n);
     for (int vm = 1; vm <= 4; ++vm) {
       const Wavelet wavelet = Wavelet::daubechies(vm);
-      for (const ExtensionMode mode :
-           {ExtensionMode::kPeriodic, ExtensionMode::kSymmetric}) {
-        dwt_single_into(x, wavelet, ws, out, mode);
-        Workspace fresh;
-        dwt_single_into(x, wavelet, fresh, expected, mode);
-        expect_identical(expected.approx, out.approx, "dwt approx");
-        expect_identical(expected.detail, out.detail, "dwt detail");
-      }
+      wavedec_into(x, wavelet, 1, ws, ws.decomposition);
+      Workspace fresh;
+      wavedec_into(x, wavelet, 1, fresh, expected);
+      expect_identical(expected, ws.decomposition, "dwt");
     }
   }
 }
@@ -192,15 +164,12 @@ TEST(WorkspaceParity, WavedecMatchesAllocatingPathAcrossLevels) {
   for (const std::size_t n : {256u, 768u, 1000u, 1023u, 1024u}) {
     const RealVector x = noise(n, 4 * n);
     for (std::size_t levels = 1; levels <= 7; ++levels) {
-      for (const ExtensionMode mode :
-           {ExtensionMode::kPeriodic, ExtensionMode::kSymmetric}) {
-        // Reuse one decomposition across level counts: shrinking and
-        // growing the per-level buffers must not leave stale state.
-        wavedec_into(x, db4, levels, ws, ws.decomposition, mode);
-        Workspace fresh;
-        wavedec_into(x, db4, levels, fresh, expected, mode);
-        expect_identical(expected, ws.decomposition, "wavedec");
-      }
+      // Reuse one decomposition across level counts: shrinking and
+      // growing the per-level buffers must not leave stale state.
+      wavedec_into(x, db4, levels, ws, ws.decomposition);
+      Workspace fresh;
+      wavedec_into(x, db4, levels, fresh, expected);
+      expect_identical(expected, ws.decomposition, "wavedec");
     }
   }
 }
@@ -218,7 +187,7 @@ TEST(WorkspaceParity, WaveletEnergyDistributionIntoMatches) {
 
 TEST(WorkspaceParity, InterleavedReuseKeepsParity) {
   // A long-lived per-session workspace sees many geometries; interleave
-  // transforms of different sizes/kinds and re-verify against a fresh
+  // transforms of different sizes and re-verify against a fresh
   // workspace each time (catches any cache keyed on stale state).
   Workspace ws;
   Psd psd;
@@ -230,11 +199,9 @@ TEST(WorkspaceParity, InterleavedReuseKeepsParity) {
   for (int round = 0; round < 3; ++round) {
     for (const std::size_t n : {1024u, 1000u, 257u}) {
       const RealVector x = noise(n, 17 * n + static_cast<std::size_t>(round));
-      const WindowKind kind =
-          round % 2 == 0 ? WindowKind::kHann : WindowKind::kHamming;
-      periodogram_into(x, 256.0, ws, psd, kind);
+      periodogram_into(x, 256.0, ws, psd);
       Workspace fresh_psd;
-      periodogram_into(x, 256.0, fresh_psd, expected_psd, kind);
+      periodogram_into(x, 256.0, fresh_psd, expected_psd);
       expect_identical(expected_psd, psd, "interleaved periodogram");
       rfft_into(x, ws, spec);
       Workspace fresh_spec;

@@ -19,6 +19,8 @@
 #include <map>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
 #include "engine/service.hpp"
 #include "ml/artifact.hpp"
@@ -43,11 +45,28 @@ ml::Dataset noisy(std::size_t size, std::uint64_t seed) {
   return data;
 }
 
-/// A fresh registry directory under the test temp root.
+/// Removes the scratch directories this process made when it exits.
+struct ScratchDirs {
+  std::vector<std::string> paths;
+  ~ScratchDirs() {
+    for (const std::string& path : paths) {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  }
+};
+
+/// A fresh registry directory under the test temp root, unique to this
+/// process: gtest_discover_tests runs every test as its own process, so
+/// under `ctest -j` a shared name would let one test's remove_all delete
+/// the files another has just saved.
 std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+  static ScratchDirs created;
+  const std::string dir =
+      ::testing::TempDir() + name + "_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  created.paths.push_back(dir);
   return dir;
 }
 

@@ -12,15 +12,17 @@
 namespace esl::entropy {
 namespace {
 
+// The binning core of renyi_of_signal.
+
 TEST(Histogram, CountsAndRange) {
   const RealVector x = {0.0, 0.5, 1.0, 1.5, 2.0};
-  const Histogram h(x, 4);
-  EXPECT_EQ(h.bins(), 4u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_low(), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(), 2.0);
+  std::vector<std::size_t> counts = {7, 7};  // stale contents are replaced
+  const HistogramRange range = histogram_counts_into(x, 4, counts);
+  EXPECT_EQ(counts.size(), 4u);
+  EXPECT_DOUBLE_EQ(range.low, 0.0);
+  EXPECT_DOUBLE_EQ(range.high, 2.0);
   std::size_t total = 0;
-  for (const std::size_t c : h.counts()) {
+  for (const std::size_t c : counts) {
     total += c;
   }
   EXPECT_EQ(total, 5u);
@@ -28,38 +30,29 @@ TEST(Histogram, CountsAndRange) {
 
 TEST(Histogram, MaxValueLandsInLastBin) {
   const RealVector x = {0.0, 1.0};
-  const Histogram h(x, 2);
-  EXPECT_EQ(h.counts()[0], 1u);
-  EXPECT_EQ(h.counts()[1], 1u);
+  std::vector<std::size_t> counts;
+  histogram_counts_into(x, 2, counts);
+  EXPECT_EQ(counts[0], 1u);
+  EXPECT_EQ(counts[1], 1u);
 }
 
 TEST(Histogram, ConstantSignalSingleBin) {
   const RealVector x(10, 3.0);
-  const Histogram h(x, 8);
-  EXPECT_EQ(h.counts()[0], 10u);
+  std::vector<std::size_t> counts;
+  histogram_counts_into(x, 8, counts);
+  ASSERT_EQ(counts.size(), 8u);
+  EXPECT_EQ(counts[0], 10u);
   for (std::size_t b = 1; b < 8; ++b) {
-    EXPECT_EQ(h.counts()[b], 0u);
+    EXPECT_EQ(counts[b], 0u);
   }
-}
-
-TEST(Histogram, ProbabilitiesSumToOne) {
-  Rng rng(1);
-  RealVector x(1000);
-  for (auto& v : x) {
-    v = rng.normal();
-  }
-  const Histogram h(x, 16);
-  Real sum = 0.0;
-  for (const Real p : h.probabilities()) {
-    sum += p;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
 TEST(Histogram, RejectsBadInputs) {
   const RealVector x = {1.0};
-  EXPECT_THROW(Histogram(x, 0), InvalidArgument);
-  EXPECT_THROW(Histogram(RealVector{}, 4), InvalidArgument);
+  std::vector<std::size_t> counts;
+  EXPECT_THROW(histogram_counts_into(x, 0, counts), InvalidArgument);
+  EXPECT_THROW(histogram_counts_into(RealVector{}, 4, counts),
+               InvalidArgument);
 }
 
 TEST(Shannon, UniformIsLogN) {
@@ -117,17 +110,6 @@ TEST(Renyi, RejectsBadAlpha) {
   EXPECT_THROW(renyi(p, -2.0), InvalidArgument);
 }
 
-TEST(Tsallis, UniformKnownValue) {
-  // q=2: 1 - sum p^2 = 1 - 1/n.
-  const RealVector p = {0.25, 0.25, 0.25, 0.25};
-  EXPECT_NEAR(tsallis(p, 2.0), 0.75, 1e-12);
-}
-
-TEST(Tsallis, DegenerateIsZero) {
-  const RealVector p = {1.0, 0.0};
-  EXPECT_NEAR(tsallis(p, 2.0), 0.0, 1e-12);
-}
-
 TEST(SignalEntropy, NoiseAboveSine) {
   Rng rng(2);
   RealVector noise(1024);
@@ -140,7 +122,6 @@ TEST(SignalEntropy, NoiseAboveSine) {
   RealVector probabilities;
   EXPECT_GT(renyi_of_signal(noise, 2.0, 16, counts, probabilities),
             renyi_of_signal(spiky, 2.0, 16, counts, probabilities));
-  EXPECT_GT(shannon_of_signal(noise), shannon_of_signal(spiky));
 }
 
 TEST(SignalEntropy, ConstantSignalIsZero) {
@@ -148,7 +129,6 @@ TEST(SignalEntropy, ConstantSignalIsZero) {
   std::vector<std::size_t> counts;
   RealVector probabilities;
   EXPECT_DOUBLE_EQ(renyi_of_signal(c, 2.0, 16, counts, probabilities), 0.0);
-  EXPECT_DOUBLE_EQ(shannon_of_signal(c), 0.0);
 }
 
 TEST(SignalEntropy, BoundedByLogBins) {
@@ -157,8 +137,11 @@ TEST(SignalEntropy, BoundedByLogBins) {
   for (auto& v : x) {
     v = rng.uniform();
   }
-  EXPECT_LE(shannon_of_signal(x, 16), std::log(16.0) + 1e-9);
-  EXPECT_NEAR(shannon_of_signal(x, 16), std::log(16.0), 0.02);
+  std::vector<std::size_t> counts;
+  RealVector probabilities;
+  const Real h = renyi_of_signal(x, 2.0, 16, counts, probabilities);
+  EXPECT_LE(h, std::log(16.0) + 1e-9);
+  EXPECT_NEAR(h, std::log(16.0), 0.02);
 }
 
 }  // namespace

@@ -62,27 +62,6 @@ TEST(OrdinalPattern, InvariantUnderMonotonicTransform) {
   EXPECT_EQ(ordinal_pattern_index(x), ordinal_pattern_index(transformed));
 }
 
-TEST(Distribution, SumsToOne) {
-  const RealVector x = random_signal(500, 1);
-  const RealVector p = ordinal_pattern_distribution(x, 4);
-  Real sum = 0.0;
-  for (const Real v : p) {
-    EXPECT_GE(v, 0.0);
-    sum += v;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-  EXPECT_EQ(p.size(), 24u);  // 4!
-}
-
-TEST(Distribution, MonotonicSignalIsDegenerate) {
-  RealVector ramp(100);
-  for (std::size_t i = 0; i < ramp.size(); ++i) {
-    ramp[i] = static_cast<Real>(i);
-  }
-  const RealVector p = ordinal_pattern_distribution(ramp, 3);
-  EXPECT_NEAR(p[0], 1.0, 1e-12);
-}
-
 TEST(Distribution, RespectsDelay) {
   // Period-2 alternation looks monotone at delay 2.
   RealVector alt(64);
@@ -161,9 +140,10 @@ TEST(PermutationEntropyNormalized, WhiteNoiseNearOne) {
 
 TEST(Distribution, RejectsBadParameters) {
   const RealVector x = random_signal(50, 7);
-  EXPECT_THROW(ordinal_pattern_distribution(x, 1), InvalidArgument);
-  EXPECT_THROW(ordinal_pattern_distribution(x, 11), InvalidArgument);
-  EXPECT_THROW(ordinal_pattern_distribution(x, 3, 0), InvalidArgument);
+  std::vector<std::size_t> counts;
+  EXPECT_THROW(permutation_entropy(x, 1, 1, counts), InvalidArgument);
+  EXPECT_THROW(permutation_entropy(x, 11, 1, counts), InvalidArgument);
+  EXPECT_THROW(permutation_entropy(x, 3, 0, counts), InvalidArgument);
 }
 
 TEST(OrdinalPattern, RejectsOversizedWindow) {

@@ -191,7 +191,7 @@ RealVector reference_channel_row(std::span<const Real> x, Real sample_rate_hz) {
 
   const dsp::Wavelet db4 = dsp::Wavelet::daubechies(4);
   dsp::WaveletDecomposition dec;
-  dsp::wavedec_into(x, db4, 7, ws, dec, dsp::ExtensionMode::kPeriodic);
+  dsp::wavedec_into(x, db4, 7, ws, dec);
   RealVector energy;
   dsp::wavelet_energy_distribution_into(dec, energy);
   for (std::size_t level = 1; level <= 7; ++level) {

@@ -61,8 +61,7 @@ TEST_P(ConsistencySeedTest, NonlinearFeaturesMatchDirectEntropyCalls) {
 
   dsp::Workspace direct;
   dsp::WaveletDecomposition dec;
-  dsp::wavedec_into(right, dsp::Wavelet::daubechies(4), 7, direct, dec,
-                    dsp::ExtensionMode::kPeriodic);
+  dsp::wavedec_into(right, dsp::Wavelet::daubechies(4), 7, direct, dec);
   std::vector<std::size_t> counts;
   RealVector probabilities;
   EXPECT_DOUBLE_EQ(features[4], entropy::permutation_entropy(
@@ -110,8 +109,7 @@ TEST_P(ConsistencySeedTest, EglassWaveletEnergiesMatchDistribution) {
 
   dsp::Workspace direct;
   dsp::WaveletDecomposition dec;
-  dsp::wavedec_into(window, dsp::Wavelet::daubechies(4), 7, direct, dec,
-                    dsp::ExtensionMode::kPeriodic);
+  dsp::wavedec_into(window, dsp::Wavelet::daubechies(4), 7, direct, dec);
   RealVector energy;
   dsp::wavelet_energy_distribution_into(dec, energy);
   // DWT block: 26 + (level-1)*4, third entry = energy fraction.

@@ -43,22 +43,6 @@ TEST(Dataset, AppendConcatenates) {
   EXPECT_EQ(a.positives(), 3u);
 }
 
-TEST(Dataset, ShuffleKeepsRowLabelPairs) {
-  Dataset data;
-  for (int i = 0; i < 50; ++i) {
-    const RealVector row = {static_cast<Real>(i)};
-    data.push_back(row, i % 2);
-  }
-  Rng rng(1);
-  shuffle_rows(data, rng);
-  EXPECT_EQ(data.size(), 50u);
-  // Row value parity must still match the label.
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const int value = static_cast<int>(data.x(i, 0));
-    EXPECT_EQ(value % 2, data.y[i]) << "row " << i;
-  }
-}
-
 TEST(Dataset, BalanceEqualizesClasses) {
   const Dataset data = imbalanced_dataset(5, 45);
   Rng rng(2);
@@ -80,23 +64,6 @@ TEST(Dataset, BalanceRequiresBothClasses) {
   const Dataset only_pos = imbalanced_dataset(5, 0);
   Rng rng(4);
   EXPECT_THROW(balance_classes(only_pos, rng), InvalidArgument);
-}
-
-TEST(Dataset, StratifiedSplitPreservesClassRatio) {
-  const Dataset data = imbalanced_dataset(20, 80);
-  Rng rng(5);
-  const Split split = stratified_split(data, 0.75, rng);
-  EXPECT_EQ(split.train.size(), 75u);
-  EXPECT_EQ(split.test.size(), 25u);
-  EXPECT_EQ(split.train.positives(), 15u);
-  EXPECT_EQ(split.test.positives(), 5u);
-}
-
-TEST(Dataset, StratifiedSplitRejectsBadFraction) {
-  const Dataset data = imbalanced_dataset(4, 4);
-  Rng rng(6);
-  EXPECT_THROW(stratified_split(data, 0.0, rng), InvalidArgument);
-  EXPECT_THROW(stratified_split(data, 1.0, rng), InvalidArgument);
 }
 
 TEST(Dataset, CheckCatchesCorruption) {

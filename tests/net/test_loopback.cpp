@@ -27,6 +27,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/error.hpp"
 #include "engine/service.hpp"
 #include "ml/artifact.hpp"
@@ -334,8 +336,10 @@ TEST_F(NetLoopback, RemoteStatsMatchTheServersOwnCounters) {
 }
 
 TEST_F(NetLoopback, SwapModelByRegistryKeyDeploysOnTheServer) {
-  // Publish a personalized artifact into a registry directory.
-  const std::string directory = ::testing::TempDir() + "esl_net_registry";
+  // Publish a personalized artifact into a registry directory of this
+  // process's own (two test runs on one host must not share it).
+  const std::string directory = ::testing::TempDir() + "esl_net_registry_" +
+                                std::to_string(::getpid());
   std::filesystem::create_directories(directory);
   ml::RandomForest forest;
   Rng rng(7);
@@ -360,6 +364,7 @@ TEST_F(NetLoopback, SwapModelByRegistryKeyDeploysOnTheServer) {
 
   // Unknown key: the registry's DataError crosses the wire typed.
   EXPECT_THROW(backend->remote_swap_model(handle, "patient-5"), DataError);
+  std::filesystem::remove_all(directory);
 }
 
 TEST_F(NetLoopback, ServerErrorsComeBackTypedAndTheConnectionSurvives) {

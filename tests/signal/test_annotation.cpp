@@ -58,15 +58,5 @@ TEST(Annotations, SeizureIntervalsFiltersAndSorts) {
   EXPECT_DOUBLE_EQ(seizures[1].onset, 50.0);
 }
 
-TEST(Annotations, InSeizureIgnoresArtifacts) {
-  std::vector<Annotation> all = {
-      {{5.0, 8.0}, EventKind::kArtifact},
-      {{10.0, 20.0}, EventKind::kSeizure},
-  };
-  EXPECT_TRUE(in_seizure(all, 15.0));
-  EXPECT_FALSE(in_seizure(all, 6.0));
-  EXPECT_FALSE(in_seizure(all, 25.0));
-}
-
 }  // namespace
 }  // namespace esl::signal

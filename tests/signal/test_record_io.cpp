@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -113,54 +112,6 @@ TEST(RecordCsv, FileRoundTrip) {
 
 TEST(RecordCsv, MissingFileRejected) {
   EXPECT_THROW(read_csv_file("/nonexistent/path/record.csv"), DataError);
-}
-
-TEST(RecordBinary, RoundTripIsExact) {
-  const TempFile file("esl_record.bin");
-  const EegRecord original = sample_record();
-  write_binary_file(original, file.path());
-  const EegRecord restored = read_binary_file(file.path());
-
-  EXPECT_EQ(restored.id(), original.id());
-  EXPECT_DOUBLE_EQ(restored.sample_rate_hz(), original.sample_rate_hz());
-  ASSERT_EQ(restored.channel_count(), original.channel_count());
-  for (std::size_t c = 0; c < restored.channel_count(); ++c) {
-    ASSERT_EQ(restored.channel(c).samples.size(),
-              original.channel(c).samples.size());
-    for (std::size_t i = 0; i < restored.length_samples(); ++i) {
-      // Binary round-trip must be bit-exact.
-      EXPECT_EQ(restored.channel(c).samples[i], original.channel(c).samples[i]);
-    }
-  }
-  ASSERT_EQ(restored.annotations().size(), 2u);
-  EXPECT_EQ(restored.annotations()[1].kind, EventKind::kArtifact);
-}
-
-TEST(RecordBinary, TruncatedFileRejected) {
-  const TempFile file("esl_trunc.bin");
-  write_binary_file(sample_record(), file.path());
-  // Truncate the file to 40 bytes.
-  {
-    std::ifstream in(file.path(), std::ios::binary);
-    std::vector<char> head(40);
-    in.read(head.data(), 40);
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(head.data(), 40);
-  }
-  EXPECT_THROW(read_binary_file(file.path()), DataError);
-}
-
-TEST(RecordBinary, BadMagicRejected) {
-  const TempFile file("esl_magic.bin");
-  {
-    std::ofstream out(file.path(), std::ios::binary);
-    out << "NOPE this is not a record";
-  }
-  EXPECT_THROW(read_binary_file(file.path()), DataError);
-}
-
-TEST(RecordBinary, MissingFileRejected) {
-  EXPECT_THROW(read_binary_file("/nonexistent/esl.bin"), DataError);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@ TEST(Cohort, NinePatientsWithTableIICounts) {
     EXPECT_EQ(cohort[p].id, static_cast<int>(p) + 1);
     EXPECT_EQ(cohort[p].seizure_count, expected_counts[p]) << "patient " << p + 1;
   }
-  EXPECT_EQ(total_seizures(cohort), 45u);
   EXPECT_EQ(simulator.events().size(), 45u);
 }
 

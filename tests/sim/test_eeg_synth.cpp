@@ -32,7 +32,7 @@ TEST(PinkNoise, SpectrumFallsWithFrequency) {
   }
   dsp::Workspace ws;
   dsp::Psd psd;
-  dsp::welch_into(x, 256.0, 4096, ws, psd);
+  dsp::periodogram_into(x, 256.0, ws, psd);
   // 1/f: average density in [1,4] Hz should clearly exceed [40,100] Hz.
   const Real low = dsp::band_power(psd, {1.0, 4.0}) / 3.0;
   const Real high = dsp::band_power(psd, {40.0, 100.0}) / 60.0;
@@ -81,7 +81,7 @@ TEST(Background, AlphaBumpPresent) {
   const RealVector x = synthesize_background(params, 131072, Rng(7));
   dsp::Workspace ws;
   dsp::Psd psd;
-  dsp::welch_into(x, params.sample_rate_hz, 4096, ws, psd);
+  dsp::periodogram_into(x, params.sample_rate_hz, ws, psd);
   const Real alpha_density = dsp::band_power(psd, dsp::bands::kAlpha) / 5.0;
   const Real beta_density = dsp::band_power(psd, {16.0, 30.0}) / 14.0;
   EXPECT_GT(alpha_density, 3.0 * beta_density);

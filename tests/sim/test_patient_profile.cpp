@@ -21,7 +21,11 @@ TEST(PatientProfile, TableIISeizureCounts) {
   for (std::size_t p = 0; p < 9; ++p) {
     EXPECT_EQ(cohort[p].seizure_count, expected[p]);
   }
-  EXPECT_EQ(total_seizures(cohort), 45u);
+  std::size_t total = 0;
+  for (const auto& profile : cohort) {
+    total += profile.seizure_count;
+  }
+  EXPECT_EQ(total, 45u);
 }
 
 TEST(PatientProfile, SeedsAreDistinct) {

@@ -43,6 +43,19 @@ Checks (all scoped to src/):
    `platform::Socket::send_some` and, while the buffer is full, wait
    on readable-or-writable and read.
 
+6. no-test-only-surface — a function declared at column 0 (namespace
+   scope; class members are indented) in a src/ header must be used
+   somewhere outside tests/: in src/, bench/, examples/, perfbench/ or
+   fuzz/, by a line other than its own declaration or definition head.
+   Uses inside its own header or .cpp count, so a helper that only a
+   sibling calls passes; one whose only caller was deleted shows up on
+   the next run. A function only tests reach is a parallel library the
+   detection loop never runs, whose tests get ported at every refactor:
+   delete it with its tests. The few that stay are listed in
+   TEST_ONLY_ALLOWLIST, each with the test it is an oracle for or the
+   ROADMAP item that decides it; an entry that is no longer declared,
+   or that gained a caller, is reported as stale.
+
 Exit status 0 when clean; 1 with file:line diagnostics otherwise.
 Run from anywhere: paths resolve relative to the repo root (parent of
 this script's directory). CI runs this alongside clang-tidy.
@@ -60,6 +73,35 @@ HOT_CONTRACT_DIRS = ("dsp", "ml", "engine", "net")
 HOT_LOOP_DIRS = ("dsp", "ml")
 ONE_SPELLING_DIRS = ("common", "dsp", "entropy", "features")
 NO_BLOCKING_SEND_DIRS = ("net",)
+# Trees whose code counts as a real caller for no-test-only-surface.
+NON_TEST_DIRS = ("src", "bench", "examples", "perfbench", "fuzz")
+
+# Header functions that nothing outside tests/ calls, kept on purpose.
+TEST_ONLY_ALLOWLIST = {
+    "dft_reference": "O(n^2) oracle of dsp.Sizes/FftAgainstDftTest and "
+    "dsp.SimdParity.EvenLengthRfftSplitMatchesDftOracle",
+    "fft_radix2_inplace": "scalar reference that "
+    "dsp.WorkspaceParity.FftMatchesAllocatingPath holds fft_into to",
+    "ifft_into": "inverse half of the dsp.Sizes/FftAgainstDftTest round "
+    "trip and of dsp.SimdParity.FftAndInverseBitIdenticalAcrossLevels",
+    "peak_frequency": "per-statistic oracle of "
+    "features.EglassFeatures.RowMatchesPerStatisticReference and "
+    "ConsistencySeedTest.EglassSpectralBlockMatchesDsp",
+    "spectral_edge_frequency": "per-statistic oracle of "
+    "features.EglassFeatures.RowMatchesPerStatisticReference and "
+    "ConsistencySeedTest.EglassSpectralBlockMatchesDsp",
+    "waverec": "perfect-reconstruction oracle of "
+    "dsp.Levels/MultiLevelTest.WavedecWaverecRoundTripPeriodic",
+    "shannon": "alpha -> 1 reference of "
+    "entropy.Renyi.ConvergesToShannonAsAlphaApproachesOne",
+    "write_edf_file": "writes the files the signal.Edf reader tests read",
+    "record_usable": "ROADMAP 'Gate the self-learning relabel on signal "
+    "quality, or delete signal/quality'",
+    "add_muscle_artifact": "ROADMAP 'Gate the self-learning relabel on "
+    "signal quality': injects the bad windows",
+    "add_blink_artifact": "ROADMAP 'Gate the self-learning relabel on "
+    "signal quality': injects the bad windows",
+}
 
 ALLOW_STRING = re.compile(r"//\s*lint:\s*allow-string\(")
 CONTRACT_CALL = re.compile(r"\b(expects|ensures)\s*\(")
@@ -74,6 +116,13 @@ BLOCKING_SEND = re.compile(
     r"\bsend_all\s*\(|::(send|sendto|sendmsg|write|writev)\s*\("
 )
 NOT_A_RETURN_TYPE = {"return", "else", "new", "throw", "co_return", "delete"}
+# Column-0 lines that open something other than a function declaration.
+NOT_A_FUNCTION_LINE = (
+    "namespace", "class", "struct", "enum", "union", "using", "typedef",
+    "template", "static_assert", "friend", "#", "//", "/*", "*", "}", "{",
+)
+# An identifier not reached through `.` or `->` (member access).
+IDENTIFIER = re.compile(r"(?<![\w.>])([A-Za-z_]\w*)")
 NAKED_LOCK = re.compile(
     r"\bstd::(mutex|condition_variable|lock_guard|unique_lock|scoped_lock"
     r"|recursive_mutex|shared_mutex|timed_mutex"
@@ -266,6 +315,57 @@ def check_no_blocking_send(violations: list[str]) -> None:
                     )
 
 
+def column0_function(line: str) -> str | None:
+    """The function a column-0 declaration or definition head names."""
+    if not line or line[0].isspace() or line.startswith(NOT_A_FUNCTION_LINE):
+        return None
+    stripped = strip_comments_and_strings(line)
+    match = DECLARATION.search(stripped)
+    if match is None or "operator" in stripped[: match.end(1)]:
+        return None
+    prefix = stripped[: match.start(1)].split()
+    if prefix and prefix[-1].lstrip("*&") in NOT_A_RETURN_TYPE:
+        return None
+    return match.group(1)
+
+
+def check_no_test_only_surface(violations: list[str]) -> None:
+    declared: dict[str, tuple[Path, int]] = {}
+    for path in sorted(SRC.rglob("*.hpp")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            name = column0_function(line)
+            if name is not None:
+                declared.setdefault(name, (path, lineno))
+    used: set[str] = set()
+    for tree in NON_TEST_DIRS:
+        for path in source_files(REPO_ROOT / tree):
+            for line in path.read_text().splitlines():
+                head = column0_function(line)
+                for match in IDENTIFIER.finditer(
+                        strip_comments_and_strings(line)):
+                    if match.group(1) != head:
+                        used.add(match.group(1))
+    for name, (path, lineno) in sorted(declared.items()):
+        if name in used or name in TEST_ONLY_ALLOWLIST:
+            continue
+        rel = path.relative_to(REPO_ROOT)
+        violations.append(
+            f"{rel}:{lineno}: [no-test-only-surface] {name}() is declared "
+            f"here but nothing outside tests/ uses it; delete it with its "
+            f"tests, or allowlist it in TEST_ONLY_ALLOWLIST with the test "
+            f"it is an oracle for or the ROADMAP item that decides it"
+        )
+    for name in sorted(TEST_ONLY_ALLOWLIST):
+        if name not in declared or name in used:
+            why = "is no longer declared" if name not in declared else \
+                "is now used outside tests/"
+            violations.append(
+                f"tools/lint_invariants.py: [no-test-only-surface] "
+                f"allowlisted {name}() {why}; drop its TEST_ONLY_ALLOWLIST "
+                f"entry"
+            )
+
+
 def main() -> int:
     violations: list[str] = []
     check_hot_contract_messages(violations)
@@ -273,6 +373,7 @@ def main() -> int:
     check_lock_discipline(violations)
     check_one_spelling_per_transform(violations)
     check_no_blocking_send(violations)
+    check_no_test_only_surface(violations)
     if violations:
         print(f"lint_invariants: {len(violations)} violation(s)")
         for v in violations:
