@@ -10,15 +10,14 @@
 //     queues; the right choice for tests, embedding, and single-core
 //     edge gateways.
 //   * ThreadPoolBackend — one worker thread per shard. ingest() copies
-//     the chunk into the shard's bounded IngestQueue (mutex MPSC by
-//     default, lock-free SPSC when the owner declares a single
-//     producer) and returns; the worker drains the queue, runs
+//     the chunk into the shard's bounded IngestQueue (any number of
+//     producer threads) and returns; the worker drains the queue, runs
 //     Engine::ingest + poll off the caller's thread, and delivers
 //     detections to the DetectionSink. flush() is a barrier: every
 //     chunk enqueued before it has been windowed, classified, and
-//     delivered when it returns; flush_shards()/flush_shards_async()
-//     scope the barrier to a subset of shards so one caller's barrier
-//     does not stall the rest of the fleet.
+//     delivered when it returns; flush_shards_async() scopes the
+//     barrier to a subset of shards so one caller's barrier does not
+//     stall the rest of the fleet.
 //
 // Ordering guarantee (both backends): detections for one session are
 // always delivered in window order. Cross-session/cross-shard ordering
@@ -139,24 +138,18 @@ class ExecutionBackend {
   /// been windowed, classified, and delivered to the sink.
   virtual void flush() = 0;
 
-  /// Scoped barrier: like flush(), but only chunks ingested into the
-  /// named shards are covered — other shards are untouched and keep
-  /// streaming. The default falls back to the full barrier, which is a
-  /// correct (if wider) superset.
-  virtual void flush_shards(std::span<const std::uint32_t> shard_indices) {
-    (void)shard_indices;
-    flush();
-  }
-
   /// Asynchronous scoped barrier: `done` runs exactly once, after every
   /// chunk already ingested into the named shards has been delivered to
-  /// the sink. The caller's thread is not blocked; `done` may run on a
-  /// worker thread (or inline, on backends without workers), so it must
-  /// not call back into the backend. Errors captured from workers are
-  /// rethrown here, before the barrier is registered.
+  /// the sink; other shards are untouched and keep streaming. The
+  /// caller's thread is not blocked; `done` may run on a worker thread
+  /// (or inline, on backends without workers), so it must not call back
+  /// into the backend. Errors captured from workers are rethrown here,
+  /// before the barrier is registered. The default runs the full
+  /// barrier, a correct (if wider) superset, then `done` inline.
   virtual void flush_shards_async(std::span<const std::uint32_t> shard_indices,
                                   std::function<void()> done) {
-    flush_shards(shard_indices);
+    (void)shard_indices;
+    flush();
     if (done) {
       done();
     }
@@ -171,8 +164,10 @@ class ExecutionBackend {
 };
 
 /// Caller-thread execution: ingest() forwards straight into the Engine,
-/// flush() polls each shard in index order. Bit-identical to driving the
-/// Engines directly, with fully deterministic delivery order.
+/// flush() polls each shard in index order, flush_shards_async() polls
+/// the named shards and then runs `done` before returning. Bit-identical
+/// to driving the Engines directly, with fully deterministic delivery
+/// order.
 class InlineBackend final : public ExecutionBackend {
  public:
   const char* name() const override { return "inline"; }
@@ -182,7 +177,8 @@ class InlineBackend final : public ExecutionBackend {
   void ingest(Shard& shard, std::uint64_t local_id,
               const std::vector<std::span<const Real>>& chunk) override;
   void flush() override;
-  void flush_shards(std::span<const std::uint32_t> shard_indices) override;
+  void flush_shards_async(std::span<const std::uint32_t> shard_indices,
+                          std::function<void()> done) override;
 
  private:
   void poll_shard(const Shard& shard);
@@ -195,10 +191,9 @@ class InlineBackend final : public ExecutionBackend {
 struct ThreadPoolConfig {
   /// Bounded chunks per shard ingest queue; producers block when full.
   std::size_t queue_capacity = 64;
-  /// When the owner guarantees at most one thread calls ingest() at a
-  /// time (per shard), each shard gets the lock-free SpscIngestQueue
-  /// instead of the mutex MPSC queue. The ShardServer's single event
-  /// loop is exactly this case. Violating the contract is a data race.
+  /// No effect: every shard runs the same multi-producer IngestQueue.
+  /// Kept only because perfbench/src/stream.cpp still sets it; delete
+  /// the field together with that line.
   bool single_producer = false;
 };
 
@@ -216,19 +211,19 @@ class ThreadPoolBackend final : public ExecutionBackend {
   void ingest(Shard& shard, std::uint64_t local_id,
               const std::vector<std::span<const Real>>& chunk) override;
   void flush() override;
-  void flush_shards(std::span<const std::uint32_t> shard_indices) override;
   void flush_shards_async(std::span<const std::uint32_t> shard_indices,
                           std::function<void()> done) override;
 
  private:
   struct Worker {
-    std::unique_ptr<IngestQueue> queue;
+    explicit Worker(std::size_t capacity) : queue(capacity) {}
+    IngestQueue queue;
     std::thread thread;
   };
 
   /// One outstanding scoped barrier. Each covered worker owns one leg
-  /// (its index plus the queue->pushed() watermark snapshotted when the
-  /// barrier was made); a worker confirms its leg once queue->popped()
+  /// (its index plus the queue.pushed() watermark snapshotted when the
+  /// barrier was made); a worker confirms its leg once queue.popped()
   /// reaches the watermark *at its post-delivery scan point* — popped()
   /// advances in pop_all, before detections reach the sink, so legs are
   /// never pre-filtered at creation. When the last leg confirms, the

@@ -1,22 +1,17 @@
 #include "engine/ingest_queue.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace esl::engine {
 
-// ------------------------------------------------------------- mutex MPSC
-
-MutexIngestQueue::MutexIngestQueue(std::size_t capacity)
-    : capacity_(capacity) {
+IngestQueue::IngestQueue(std::size_t capacity) : capacity_(capacity) {
   expects(capacity >= 1, "IngestQueue: capacity must be positive");
   items_.reserve(capacity);
   pool_.reserve(capacity);
 }
 
-bool MutexIngestQueue::push(std::uint64_t session_id,
-                            const std::vector<std::span<const Real>>& chunk) {
+bool IngestQueue::push(std::uint64_t session_id,
+                       const std::vector<std::span<const Real>>& chunk) {
   IngestChunk slot;
   {
     MutexLock lock(mutex_);
@@ -45,7 +40,7 @@ bool MutexIngestQueue::push(std::uint64_t session_id,
   return true;
 }
 
-std::size_t MutexIngestQueue::pop_all(std::vector<IngestChunk>& out) {
+std::size_t IngestQueue::pop_all(std::vector<IngestChunk>& out) {
   MutexLock lock(mutex_);
   const std::size_t moved = items_.size();
   for (IngestChunk& item : items_) {
@@ -59,7 +54,7 @@ std::size_t MutexIngestQueue::pop_all(std::vector<IngestChunk>& out) {
   return moved;
 }
 
-void MutexIngestQueue::recycle(std::vector<IngestChunk>& consumed) {
+void IngestQueue::recycle(std::vector<IngestChunk>& consumed) {
   MutexLock lock(mutex_);
   for (IngestChunk& chunk : consumed) {
     if (pool_.size() >= capacity_) {
@@ -70,7 +65,7 @@ void MutexIngestQueue::recycle(std::vector<IngestChunk>& consumed) {
   consumed.clear();
 }
 
-void MutexIngestQueue::wait() {
+void IngestQueue::wait() {
   MutexLock lock(mutex_);
   while (items_.empty() && !wake_pending_ && !closed_) {
     consumer_.wait(lock);
@@ -78,7 +73,7 @@ void MutexIngestQueue::wait() {
   wake_pending_ = false;
 }
 
-void MutexIngestQueue::wake() {
+void IngestQueue::wake() {
   {
     MutexLock lock(mutex_);
     wake_pending_ = true;
@@ -86,7 +81,7 @@ void MutexIngestQueue::wake() {
   consumer_.notify_all();
 }
 
-void MutexIngestQueue::close() {
+void IngestQueue::close() {
   {
     MutexLock lock(mutex_);
     closed_ = true;
@@ -95,195 +90,19 @@ void MutexIngestQueue::close() {
   consumer_.notify_all();
 }
 
-std::size_t MutexIngestQueue::size() const {
+std::size_t IngestQueue::size() const {
   MutexLock lock(mutex_);
   return items_.size();
 }
 
-std::uint64_t MutexIngestQueue::pushed() const {
+std::uint64_t IngestQueue::pushed() const {
   MutexLock lock(mutex_);
   return pushed_;
 }
 
-std::uint64_t MutexIngestQueue::popped() const {
+std::uint64_t IngestQueue::popped() const {
   MutexLock lock(mutex_);
   return popped_;
-}
-
-// -------------------------------------------------------------- SPSC ring
-
-SpscIngestQueue::SpscIngestQueue(std::size_t capacity)
-    : capacity_(capacity), slots_(capacity) {
-  expects(capacity >= 1, "IngestQueue: capacity must be positive");
-  pool_.reserve(capacity);
-}
-
-void SpscIngestQueue::wait_not_full(std::uint64_t tail) {
-  // Dekker handshake with pop_all: park-flag store then counter re-read,
-  // both seq_cst, mirrored by pop_all's counter store then flag read.
-  while (!closed_.load(std::memory_order_acquire)) {
-    producer_parked_.store(true, std::memory_order_seq_cst);
-    cached_head_ = head_.load(std::memory_order_seq_cst);
-    if (tail - cached_head_ < capacity_) {
-      break;
-    }
-    MutexLock lock(park_mutex_);
-    cached_head_ = head_.load(std::memory_order_seq_cst);
-    if (tail - cached_head_ < capacity_ ||
-        closed_.load(std::memory_order_acquire)) {
-      break;
-    }
-    producer_cv_.wait(lock);
-  }
-  producer_parked_.store(false, std::memory_order_relaxed);
-}
-
-bool SpscIngestQueue::push(std::uint64_t session_id,
-                           const std::vector<std::span<const Real>>& chunk) {
-  const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-  if (tail - cached_head_ >= capacity_) {
-    cached_head_ = head_.load(std::memory_order_acquire);
-    if (tail - cached_head_ >= capacity_) {
-      wait_not_full(tail);  // backpressure: park until the consumer drains
-    }
-  }
-  if (closed_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  // The slot at `tail` is quiescent: the consumer only touches slots
-  // below the published tail_, and tail < cached_head_ + capacity_
-  // keeps this index a full lap ahead of anything it still reads.
-  // tail_slot_ tracks tail % capacity_ without the division.
-  IngestChunk& slot = slots_[tail_slot_];
-  if (++tail_slot_ == capacity_) {
-    tail_slot_ = 0;
-  }
-  slot.session_id = session_id;
-  slot.channels.resize(chunk.size());
-  for (std::size_t c = 0; c < chunk.size(); ++c) {
-    slot.channels[c].assign(chunk[c].begin(), chunk[c].end());
-  }
-  // Publish, then check for a parked consumer (Dekker: seq_cst store
-  // before seq_cst load, mirrored in wait()).
-  tail_.store(tail + 1, std::memory_order_seq_cst);
-  if (consumer_parked_.load(std::memory_order_seq_cst)) {
-    // One notify per park episode: the consumer increments park_epoch_
-    // (seq_cst) before publishing its parked flag, so seeing the flag
-    // guarantees we read that episode's epoch; a repeat push while the
-    // woken consumer is still runnable-but-unscheduled matches
-    // notified_epoch_ and skips the mutex+condvar entirely.
-    const std::uint64_t epoch = park_epoch_.load(std::memory_order_seq_cst);
-    if (epoch != notified_epoch_) {
-      notified_epoch_ = epoch;
-      // Acquire-release of park_mutex_ serializes with the consumer's
-      // final re-check-then-wait; notifying after unlocking spares the
-      // woken consumer an immediate block on the mutex we still hold.
-      { MutexLock lock(park_mutex_); }
-      consumer_cv_.notify_one();
-    }
-  }
-  return true;
-}
-
-std::size_t SpscIngestQueue::pop_all(std::vector<IngestChunk>& out) {
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-  const std::size_t ready = static_cast<std::size_t>(tail - head);
-  if (ready == 0) {
-    return 0;
-  }
-  for (std::uint64_t n = head; n != tail; ++n) {
-    // Move the chunk out, then refill the vacated slot from the recycle
-    // pool so the slot keeps heap storage for the producer's next lap.
-    // head_slot_ tracks n % capacity_ without the division.
-    IngestChunk& slot = slots_[head_slot_];
-    out.push_back(std::move(slot));
-    if (!pool_.empty()) {
-      slot = std::move(pool_.back());
-      pool_.pop_back();
-    }
-    if (++head_slot_ == capacity_) {
-      head_slot_ = 0;
-    }
-  }
-  // Release the slots back to the producer only after the last slot
-  // touch above, then check for a parked producer (Dekker, mirrored in
-  // wait_not_full()).
-  head_.store(tail, std::memory_order_seq_cst);
-  if (producer_parked_.load(std::memory_order_seq_cst)) {
-    { MutexLock lock(park_mutex_); }  // serialize with check-then-wait
-    producer_cv_.notify_one();
-  }
-  return ready;
-}
-
-void SpscIngestQueue::recycle(std::vector<IngestChunk>& consumed) {
-  // Consumer-private pool: no synchronization needed.
-  for (IngestChunk& chunk : consumed) {
-    if (pool_.size() >= capacity_) {
-      break;  // keep the pool bounded; the rest just deallocates
-    }
-    pool_.push_back(std::move(chunk));
-  }
-  consumed.clear();
-}
-
-void SpscIngestQueue::wait() {
-  while (true) {
-    if (tail_.load(std::memory_order_acquire) !=
-            head_.load(std::memory_order_relaxed) ||
-        wake_pending_.load(std::memory_order_acquire) ||
-        closed_.load(std::memory_order_acquire)) {
-      break;
-    }
-    // Dekker handshake with push()/wake()/close(): park-flag store then
-    // state re-read, both seq_cst. The epoch increment comes first so
-    // any producer that observes the flag reads this episode's epoch
-    // (push() notifies once per episode).
-    park_epoch_.fetch_add(1, std::memory_order_seq_cst);
-    consumer_parked_.store(true, std::memory_order_seq_cst);
-    if (tail_.load(std::memory_order_seq_cst) !=
-            head_.load(std::memory_order_relaxed) ||
-        wake_pending_.load(std::memory_order_seq_cst) ||
-        closed_.load(std::memory_order_seq_cst)) {
-      consumer_parked_.store(false, std::memory_order_relaxed);
-      break;
-    }
-    {
-      MutexLock lock(park_mutex_);
-      if (tail_.load(std::memory_order_seq_cst) ==
-              head_.load(std::memory_order_relaxed) &&
-          !wake_pending_.load(std::memory_order_seq_cst) &&
-          !closed_.load(std::memory_order_seq_cst)) {
-        consumer_cv_.wait(lock);
-      }
-    }
-    consumer_parked_.store(false, std::memory_order_relaxed);
-  }
-  wake_pending_.store(false, std::memory_order_release);
-}
-
-void SpscIngestQueue::wake() {
-  wake_pending_.store(true, std::memory_order_seq_cst);
-  // Cold path: acquire-release the mutex so the notify cannot slip
-  // between the consumer's final re-check and its cv wait.
-  { MutexLock lock(park_mutex_); }
-  consumer_cv_.notify_all();
-}
-
-void SpscIngestQueue::close() {
-  closed_.store(true, std::memory_order_seq_cst);
-  { MutexLock lock(park_mutex_); }
-  consumer_cv_.notify_all();
-  producer_cv_.notify_all();
-}
-
-std::size_t SpscIngestQueue::size() const {
-  // head first: loading tail second guarantees tail_observed >=
-  // head_observed, so the difference never wraps.
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-  return static_cast<std::size_t>(tail - head);
 }
 
 }  // namespace esl::engine

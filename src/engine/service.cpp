@@ -162,15 +162,6 @@ void DetectionService::ingest(SessionHandle handle,
 
 void DetectionService::flush() { backend_->flush(); }
 
-void DetectionService::flush_sessions(
-    std::span<const SessionHandle> handles) {
-  std::vector<std::uint32_t> shards;
-  collect_shards(handles, shards);
-  if (!shards.empty()) {
-    backend_->flush_shards(shards);
-  }
-}
-
 void DetectionService::flush_sessions_async(
     std::span<const SessionHandle> handles, std::function<void()> done) {
   std::vector<std::uint32_t> shards;

@@ -6,8 +6,9 @@
 // Engine, hash-partitions sessions across them, and delegates execution
 // to a pluggable ExecutionBackend (backend.hpp): InlineBackend keeps
 // today's deterministic caller-thread semantics; ThreadPoolBackend runs
-// each shard on its own worker thread behind a bounded MPSC ingest queue
-// so radio chunks land off the inference threads.
+// each shard on its own worker thread behind one bounded ingest queue
+// (any number of producer threads) so radio chunks land off the
+// inference threads.
 //
 // Sessions are addressed by an opaque SessionHandle (shard index +
 // engine-local id packed into one uint64). Detections are delivered
@@ -97,17 +98,14 @@ class DetectionService {
   /// InlineBackend this is the per-round poll.
   void flush();
 
-  /// Scoped barrier: like flush(), but only covers the shards hosting
-  /// `handles` — other shards keep streaming unbarriered. Duplicate
-  /// shards in `handles` are coalesced; an empty span is a no-op.
-  void flush_sessions(std::span<const SessionHandle> handles);
-
-  /// Asynchronous scoped barrier: returns immediately; `done` runs
-  /// exactly once, after every chunk already ingested for `handles`'
-  /// shards has been delivered to the sink. Under ThreadPoolBackend
-  /// `done` runs on a shard worker thread — it must not call back into
-  /// the service. Backends without workers run it inline before
-  /// returning.
+  /// Asynchronous scoped barrier: like flush(), but only covers the
+  /// shards hosting `handles` — other shards keep streaming unbarriered
+  /// — and returns immediately; `done` runs exactly once, after every
+  /// chunk already ingested for `handles`' shards has been delivered to
+  /// the sink. Duplicate shards in `handles` are coalesced; an empty
+  /// span runs `done` at once. Under ThreadPoolBackend `done` runs on a
+  /// shard worker thread — it must not call back into the service.
+  /// Backends without workers run it inline before returning.
   void flush_sessions_async(std::span<const SessionHandle> handles,
                             std::function<void()> done);
 

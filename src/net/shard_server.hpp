@@ -32,8 +32,9 @@
 // once they fill, its sends block. Work already queued on the shards
 // keeps reaching the outbox, so the overshoot is bounded by that work.
 // Below the cap, handling and reading resume. Under the threaded
-// backend the loop thread is the only ingest producer, so each shard
-// queue runs the lock-free SPSC fast path (engine/ingest_queue.hpp).
+// backend the loop thread pushes each chunk into its shard's bounded
+// IngestQueue (engine/ingest_queue.hpp) and blocks there while that
+// queue is full.
 //
 // Flush: a kFlush barriers only the requesting connection's sessions
 // (their shards), asynchronously — the loop registers the scoped

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <map>
 #include <mutex>
 #include <set>
@@ -26,6 +27,16 @@ std::vector<std::span<const Real>> chunk_views(const signal::EegRecord& record,
         std::span<const Real>(record.channel(c).samples).subspan(offset, count));
   }
   return views;
+}
+
+/// Scoped barrier, synchronously: returns once the async flush of
+/// `handles`' shards has run its completion.
+void flush_sessions_and_wait(DetectionService& service,
+                             std::span<const SessionHandle> handles) {
+  auto flushed = std::make_shared<std::promise<void>>();
+  std::future<void> done = flushed->get_future();
+  service.flush_sessions_async(handles, [flushed] { flushed->set_value(); });
+  done.wait();
 }
 
 /// The per-session observable outcome of one classified window; two
@@ -730,46 +741,19 @@ TEST_F(ServiceTest, BoundedQueueBackpressurePreservesParity) {
   }
 }
 
-TEST_F(ServiceTest, SingleProducerQueueParityAcrossShardCounts) {
-  // The SPSC fast path must be observationally identical to the mutex
-  // queue: same workload, driven from one producer thread (the SPSC
-  // contract), bit-for-bit the single-Engine reference at every shard
-  // count.
-  const std::vector<std::vector<WindowOutcome>> reference =
-      reference_outcomes();
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("spsc x " + std::to_string(shards) + " shards");
-    ServiceConfig config;
-    config.shards = shards;
-    config.engine = screened_config();
-    ThreadPoolConfig pool;
-    pool.single_producer = true;
-    DetectionService service(*fleet_, config,
-                             std::make_unique<ThreadPoolBackend>(pool));
-    std::vector<SessionHandle> handles;
-    for (std::size_t s = 0; s < k_sessions; ++s) {
-      handles.push_back(service.create_session(s, SessionConfig{}));
-    }
-    const auto outcomes = service_outcomes(service, handles);
-    for (std::size_t s = 0; s < k_sessions; ++s) {
-      SCOPED_TRACE("session " + std::to_string(s));
-      const auto it = outcomes.find(handles[s].value);
-      ASSERT_NE(it, outcomes.end());
-      EXPECT_EQ(it->second, reference[s]);
-    }
-  }
-}
-
-TEST_F(ServiceTest, SingleProducerBackpressureAtCapacityOnePreservesParity) {
-  // Capacity 1 forces the SPSC producer through its blocking slow path
-  // on nearly every push; ordering and parity must survive.
+TEST_F(ServiceTest, ConcurrentProducersSharingAShardKeepParity) {
+  // ingest() is thread-safe across distinct sessions: several producer
+  // threads pushing into the same shard queue at once (capacity 1, so
+  // they also contend for room) must still leave every session's
+  // detections equal to the single-Engine reference.
+  constexpr std::size_t k_producers = 4;
+  constexpr std::size_t k_sessions_per_producer = k_sessions / k_producers;
   const std::vector<std::vector<WindowOutcome>> reference =
       reference_outcomes();
   ServiceConfig config;
   config.shards = 2;
   config.engine = screened_config();
   ThreadPoolConfig pool;
-  pool.single_producer = true;
   pool.queue_capacity = 1;
   DetectionService service(*fleet_, config,
                            std::make_unique<ThreadPoolBackend>(pool));
@@ -777,7 +761,41 @@ TEST_F(ServiceTest, SingleProducerBackpressureAtCapacityOnePreservesParity) {
   for (std::size_t s = 0; s < k_sessions; ++s) {
     handles.push_back(service.create_session(s, SessionConfig{}));
   }
-  const auto outcomes = service_outcomes(service, handles);
+  // Producer p owns sessions p * k_sessions_per_producer onward; with
+  // more producers than shards, at least two of them share a shard.
+  std::atomic<bool> go{false};
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < k_producers; ++p) {
+    producers.emplace_back([&, p] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      const std::size_t rounds =
+          stream_samples(*background_record_) / k_chunk;
+      for (std::size_t round = 0; round < rounds; ++round) {
+        for (std::size_t k = 0; k < k_sessions_per_producer; ++k) {
+          const std::size_t s = p * k_sessions_per_producer + k;
+          const signal::EegRecord& record = record_for(s);
+          if ((round + 1) * k_chunk <= stream_samples(record)) {
+            service.ingest(handles[s],
+                           chunk_views(record, round * k_chunk, k_chunk));
+          }
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : producers) {
+    t.join();
+  }
+  service.flush();
+
+  std::vector<Detection> drained;
+  service.drain(drained);
+  std::map<std::uint64_t, std::vector<WindowOutcome>> outcomes;
+  for (const Detection& d : drained) {
+    outcomes[d.session_id].push_back(outcome_of(d));
+  }
   for (std::size_t s = 0; s < k_sessions; ++s) {
     const auto it = outcomes.find(handles[s].value);
     ASSERT_NE(it, outcomes.end()) << "session " << s;
@@ -786,9 +804,9 @@ TEST_F(ServiceTest, SingleProducerBackpressureAtCapacityOnePreservesParity) {
 }
 
 TEST_F(ServiceTest, ScopedFlushDeliversFullBarrierSemanticsForCoveredSessions) {
-  // flush_sessions({h}) must behave exactly like flush() as far as
-  // session h is concerned: every chunk ingested before the call is
-  // classified and delivered when it returns.
+  // Waiting on flush_sessions_async({h}) must behave exactly like
+  // flush() as far as session h is concerned: every chunk ingested
+  // before the call is classified and delivered when `done` runs.
   const std::vector<std::vector<WindowOutcome>> reference =
       reference_outcomes();
   ServiceConfig config;
@@ -807,7 +825,7 @@ TEST_F(ServiceTest, ScopedFlushDeliversFullBarrierSemanticsForCoveredSessions) {
       service.ingest(handle,
                      chunk_views(*seizure_record_, round * k_chunk, k_chunk));
     }
-    service.flush_sessions({&handle, 1});
+    flush_sessions_and_wait(service, {&handle, 1});
     drained.clear();
     service.drain(drained);
     for (const Detection& d : drained) {
@@ -961,7 +979,7 @@ TEST_F(ServiceTest, ScopedFlushOnOneShardDoesNotWaitForABlockedShard) {
   // would deadlock (-> ctest timeout) under the old service-wide
   // barrier.
   service.ingest(free_session, chunk_views(*background_record_, 0, k_chunk));
-  service.flush_sessions({&free_session, 1});
+  flush_sessions_and_wait(service, {&free_session, 1});
   EXPECT_FALSE(blocked_flush_done.load());
 
   sink.release();

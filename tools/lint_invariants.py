@@ -23,10 +23,9 @@ Checks (all scoped to src/):
    src/common/annotations.hpp. Everything that blocks goes through
    esl::Mutex / esl::MutexLock / esl::CondVar so Clang's
    -Wthread-safety analysis sees every acquisition (a naked std::mutex
-   is invisible to it). std::atomic is allowed: atomics are outside
-   the analysis's lock model by design — lock-free code (the SPSC
-   ingest ring) documents its ordering contract in place and is
-   exercised under TSan instead.
+   is invisible to it). std::atomic is allowed for standalone flags
+   and counters: atomics are outside the analysis's lock model by
+   design, so TSan checks them instead.
 
 4. one-spelling-per-transform — a header in src/common, src/dsp,
    src/entropy or src/features that declares `name_into(` must not also
