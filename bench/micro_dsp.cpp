@@ -5,12 +5,15 @@
 //  * default: Google Benchmark suite over the workspace transforms, one
 //    warm dsp::Workspace per case (the per-stream serving pattern);
 //  * --json PATH: self-timed scalar-vs-SIMD comparison of the hot
-//    transforms — the same workspace call with the kernels:: dispatch
-//    forced to scalar, then at the host's widest level — windows/sec and
-//    allocs/window for each, written as machine-readable JSON
-//    (BENCH_dsp.json in CI).
+//    transforms and of a whole 2-channel e-Glass row — the same
+//    workspace call with the kernels:: dispatch forced to scalar, then
+//    at the host's widest level — windows/sec and allocs/window for
+//    each, written as machine-readable JSON (BENCH_dsp.json in CI). The
+//    row's per-channel lanes are not dispatched, so its two columns
+//    differ only by the FFT, taper, density and DWT kernels.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "dsp/workspace.hpp"
 #include "entropy/permutation_entropy.hpp"
 #include "entropy/sample_entropy.hpp"
+#include "features/eglass_features.hpp"
 
 ESL_DEFINE_COUNTING_ALLOCATOR();
 
@@ -38,6 +42,30 @@ RealVector random_signal(std::size_t n, std::uint64_t seed) {
   }
   return v;
 }
+
+/// Two-channel windows of EEG-like AR(1) drift, the kind the e-Glass row
+/// sees, as 32 channel pairs. The row benches cycle through them: with
+/// one window repeated, the branch predictor learns the comparisons of a
+/// data-dependent quartile selection, and the timing no longer describes
+/// a stream of new windows.
+struct Ar1Windows {
+  std::vector<RealVector> samples;
+  std::vector<std::vector<std::span<const Real>>> pairs;
+
+  Ar1Windows() : samples(64, RealVector(1024)) {
+    Rng rng(8);
+    for (RealVector& window : samples) {
+      Real state = 0.0;
+      for (Real& x : window) {
+        state = 0.95 * state + rng.normal(0.0, 12.0);
+        x = state;
+      }
+    }
+    for (std::size_t i = 0; i + 1 < samples.size(); i += 2) {
+      pairs.push_back({samples[i], samples[i + 1]});
+    }
+  }
+};
 
 void bm_fft_1024(benchmark::State& state) {
   const RealVector x = random_signal(1024, 1);
@@ -83,6 +111,22 @@ void bm_wavedec_db4_level7(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_wavedec_db4_level7);
+
+/// One 2-channel e-Glass row (108 features) of 1024-sample AR(1) windows.
+void bm_eglass_row(benchmark::State& state) {
+  const Ar1Windows windows;
+  const features::EglassFeatureExtractor extractor(2);
+  dsp::Workspace ws;
+  RealVector row;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    extractor.extract_into(windows.pairs[next], 256.0, row, ws);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+    next = (next + 1) % windows.pairs.size();
+  }
+}
+BENCHMARK(bm_eglass_row);
 
 void bm_permutation_entropy(benchmark::State& state) {
   const auto order = static_cast<std::size_t>(state.range(0));
@@ -143,6 +187,15 @@ int run_json_mode(const std::string& path) {
     dsp::wavedec_into(x1024, db4, 7, ws, ws.decomposition);
     benchmark::DoNotOptimize(ws.decomposition.approx.data());
   };
+  const Ar1Windows ar1;
+  const features::EglassFeatureExtractor eglass(2);
+  RealVector row;
+  std::size_t next_pair = 0;
+  auto eglass_row = [&] {
+    eglass.extract_into(ar1.pairs[next_pair], 256.0, row, ws);
+    benchmark::DoNotOptimize(row.data());
+    next_pair = (next_pair + 1) % ar1.pairs.size();
+  };
   comparisons.push_back(
       {"periodogram_1024_scalar_vs_simd",
        measure_at_level(kernels::SimdLevel::kScalar, periodogram_window, 20000),
@@ -155,6 +208,10 @@ int run_json_mode(const std::string& path) {
       {"wavedec_db4_level7_1024_scalar_vs_simd",
        measure_at_level(kernels::SimdLevel::kScalar, wavedec_window, 20000),
        measure_at_level(widest, wavedec_window, 20000)});
+  comparisons.push_back(
+      {"eglass_row_2ch_1024_scalar_vs_simd",
+       measure_at_level(kernels::SimdLevel::kScalar, eglass_row, 5000),
+       measure_at_level(widest, eglass_row, 5000)});
 
   std::printf("simd level: %s (detected %s)\n",
               kernels::level_name(kernels::active_level()),

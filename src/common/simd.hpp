@@ -3,11 +3,13 @@
 // Two pieces live here:
 //
 //  * `esl::simd` — a small fixed-width pack abstraction (load/store/
-//    broadcast, +/-/*, unfused fma, and the pair shuffles interleaved
-//    complex data needs) over the GCC/Clang
-//    vector extensions, with a plain-array scalar fallback for other
-//    compilers. Packs are a codegen vocabulary, not a public container:
-//    only the kernel implementations use them.
+//    broadcast, +/-/*, unfused fma, the pair shuffles interleaved
+//    complex data needs, and the comparison masks, compare-select and
+//    abs that the e-Glass extractor's per-channel lanes need) over the
+//    GCC/Clang vector extensions, with a plain-array scalar fallback for
+//    other compilers. Packs are a codegen vocabulary, not a public
+//    container: only the kernel implementations and that extractor use
+//    them.
 //
 //  * `esl::kernels` — the dispatch seam callers actually use. Each entry
 //    point (FFT butterfly stage, rfft unpack, taper multiply, |X|^2
@@ -30,8 +32,10 @@
 // flavor they dispatched on and every flavor computes identical results.
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 #include "common/types.hpp"
@@ -96,6 +100,13 @@ struct Pack {
 
   static ESL_SIMD_INLINE Pack zero() { return broadcast(T(0)); }
 
+  /// Lane j holds rows[j][i]: one element from each of W arrays.
+  static ESL_SIMD_INLINE Pack gather(const T* const* rows, std::size_t i) {
+    Pack r;
+    for (int j = 0; j < W; ++j) r.v[j] = rows[j][i];
+    return r;
+  }
+
   ESL_SIMD_INLINE void store(T* p) const { std::memcpy(p, &v, sizeof(v)); }
 
   ESL_SIMD_INLINE T lane(int i) const { return v[i]; }
@@ -127,6 +138,34 @@ struct Pack {
     return r;
 #endif
   }
+  // Bitwise ops, for integer lanes (the comparison masks below).
+  friend ESL_SIMD_INLINE Pack operator&(Pack a, Pack b) {
+#if ESL_SIMD_VECTOR_EXT
+    return {a.v & b.v};
+#else
+    Pack r;
+    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] & b.v[i];
+    return r;
+#endif
+  }
+  friend ESL_SIMD_INLINE Pack operator|(Pack a, Pack b) {
+#if ESL_SIMD_VECTOR_EXT
+    return {a.v | b.v};
+#else
+    Pack r;
+    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] | b.v[i];
+    return r;
+#endif
+  }
+  friend ESL_SIMD_INLINE Pack operator^(Pack a, Pack b) {
+#if ESL_SIMD_VECTOR_EXT
+    return {a.v ^ b.v};
+#else
+    Pack r;
+    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] ^ b.v[i];
+    return r;
+#endif
+  }
 };
 
 /// Scalar fallback with the pack interface (width 1).
@@ -136,11 +175,17 @@ struct Pack<T, 1> {
   static ESL_SIMD_INLINE Pack load(const T* p) { return {*p}; }
   static ESL_SIMD_INLINE Pack broadcast(T x) { return {x}; }
   static ESL_SIMD_INLINE Pack zero() { return {T(0)}; }
+  static ESL_SIMD_INLINE Pack gather(const T* const* rows, std::size_t i) {
+    return {rows[0][i]};
+  }
   ESL_SIMD_INLINE void store(T* p) const { *p = v; }
   ESL_SIMD_INLINE T lane(int) const { return v; }
   friend ESL_SIMD_INLINE Pack operator+(Pack a, Pack b) { return {a.v + b.v}; }
   friend ESL_SIMD_INLINE Pack operator-(Pack a, Pack b) { return {a.v - b.v}; }
   friend ESL_SIMD_INLINE Pack operator*(Pack a, Pack b) { return {a.v * b.v}; }
+  friend ESL_SIMD_INLINE Pack operator&(Pack a, Pack b) { return {a.v & b.v}; }
+  friend ESL_SIMD_INLINE Pack operator|(Pack a, Pack b) { return {a.v | b.v}; }
+  friend ESL_SIMD_INLINE Pack operator^(Pack a, Pack b) { return {a.v ^ b.v}; }
 };
 
 /// Unfused multiply-add a*b + c. Deliberately NOT a hardware FMA: fusing
@@ -150,6 +195,88 @@ struct Pack<T, 1> {
 template <class T, int W>
 ESL_SIMD_INLINE Pack<T, W> fma(Pack<T, W> a, Pack<T, W> b, Pack<T, W> c) {
   return a * b + c;
+}
+
+// ------------------------------------------------------- lane masks
+// A comparison of two Pack<double, W> yields a Mask<W>: -1 (all bits
+// set) in the lanes where it held, 0 elsewhere. Masks combine with
+// & | ^, count with - (a set lane is -1) and pick lanes with select().
+// Each comparison is the scalar IEEE one per lane, NaN included.
+
+template <int W>
+using Mask = Pack<std::int64_t, W>;
+
+/// Lanes where a < b.
+template <int W>
+ESL_SIMD_INLINE Mask<W> less(Pack<double, W> a, Pack<double, W> b) {
+  if constexpr (W == 1) {
+    return {-static_cast<std::int64_t>(a.v < b.v)};
+  } else {
+#if ESL_SIMD_VECTOR_EXT
+    return {reinterpret_cast<typename Mask<W>::Vec>(a.v < b.v)};
+#else
+    Mask<W> r;
+    for (int i = 0; i < W; ++i) {
+      r.v[i] = -static_cast<std::int64_t>(a.v[i] < b.v[i]);
+    }
+    return r;
+#endif
+  }
+}
+
+/// Lanes where a != b (true where either is NaN).
+template <int W>
+ESL_SIMD_INLINE Mask<W> not_equal(Pack<double, W> a, Pack<double, W> b) {
+  if constexpr (W == 1) {
+    return {-static_cast<std::int64_t>(a.v != b.v)};
+  } else {
+#if ESL_SIMD_VECTOR_EXT
+    return {reinterpret_cast<typename Mask<W>::Vec>(a.v != b.v)};
+#else
+    Mask<W> r;
+    for (int i = 0; i < W; ++i) {
+      r.v[i] = -static_cast<std::int64_t>(a.v[i] != b.v[i]);
+    }
+    return r;
+#endif
+  }
+}
+
+/// Lane-wise `mask ? a : b`. select(less(v, a), v, a) is the scalar
+/// `v < a ? v : a` in every lane, NaN and signed zeros included.
+template <class T, int W>
+ESL_SIMD_INLINE Pack<T, W> select(Mask<W> mask, Pack<T, W> a, Pack<T, W> b) {
+  if constexpr (W == 1) {
+    return {mask.v != 0 ? a.v : b.v};
+  } else {
+#if ESL_SIMD_VECTOR_EXT
+    return {mask.v ? a.v : b.v};
+#else
+    Pack<T, W> r;
+    for (int i = 0; i < W; ++i) r.v[i] = mask.v[i] != 0 ? a.v[i] : b.v[i];
+    return r;
+#endif
+  }
+}
+
+/// |p|: the sign bit cleared, which is what std::abs does to a double
+/// (NaN payloads and infinities included).
+template <int W>
+ESL_SIMD_INLINE Pack<double, W> abs(Pack<double, W> p) {
+  if constexpr (W == 1) {
+    return {std::abs(p.v)};
+  } else {
+#if ESL_SIMD_VECTOR_EXT
+    using Bits = typename Mask<W>::Vec;
+    constexpr std::int64_t k_magnitude_bits = 0x7fffffffffffffff;
+    return {reinterpret_cast<typename Pack<double, W>::Vec>(
+        reinterpret_cast<Bits>(p.v) & k_magnitude_bits)};
+#else
+    Pack<double, W> r;
+    for (int i = 0; i < W; ++i) r.v[i] = std::abs(p.v[i]);
+    return r;
+#endif
+  }
 }
 
 // ------------------------------------------------- interleaved-pair shuffles

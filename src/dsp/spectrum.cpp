@@ -24,12 +24,10 @@ void periodogram_into(std::span<const Real> signal, Real sample_rate_hz,
   const ComplexVector& spectrum = workspace.spectrum;
   const Real scale = 1.0 / (sample_rate_hz * workspace.window_power_sum);
 
-  out.frequency.resize(spectrum.size());
+  // rfft_into writes n/2 + 1 bins, the length of the cached grid.
+  const RealVector& grid = workspace.frequency_grid_cache(n, sample_rate_hz);
+  out.frequency.assign(grid.begin(), grid.end());
   out.density.resize(spectrum.size());
-  for (std::size_t k = 0; k < spectrum.size(); ++k) {
-    out.frequency[k] =
-        static_cast<Real>(k) * sample_rate_hz / static_cast<Real>(n);
-  }
   // |X|^2 * scale with one-sided doubling (all bins except DC and, for
   // even n, Nyquist) — the vectorized kernel keeps the scalar op order.
   kernels::power_density(spectrum.data(), spectrum.size(), scale, n % 2 == 0,

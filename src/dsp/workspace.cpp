@@ -15,6 +15,20 @@ const RealVector& Workspace::window_cache(std::size_t n) {
   return window_coeffs;
 }
 
+const RealVector& Workspace::frequency_grid_cache(std::size_t n,
+                                                   Real sample_rate_hz) {
+  if (frequency_grid_length != n || frequency_grid_rate != sample_rate_hz) {
+    frequency_grid.resize(n / 2 + 1);
+    for (std::size_t k = 0; k < frequency_grid.size(); ++k) {
+      frequency_grid[k] =
+          static_cast<Real>(k) * sample_rate_hz / static_cast<Real>(n);
+    }
+    frequency_grid_length = n;
+    frequency_grid_rate = sample_rate_hz;
+  }
+  return frequency_grid;
+}
+
 const ComplexVector& Workspace::twiddle_cache(std::size_t n, bool inverse) {
   expects(is_power_of_two(n), "Workspace::twiddle_cache: n must be 2^k");
   ComplexVector& table = inverse ? twiddle_inverse : twiddle_forward;

@@ -68,9 +68,9 @@ class Workspace {
   // entropy histogram/ordinal-pattern counting). Contents are
   // unspecified between calls.
 
-  /// Order-statistics scratch: the e-Glass IQR selects its quartiles in
-  /// a copy of the window here (a caller of stats::quantile_from_sorted
-  /// may sort into it).
+  /// Order-statistics scratch: the e-Glass IQR copies the window here
+  /// and selects its quartiles in place with branch-free partitions (a
+  /// caller of stats::quantile_from_sorted may sort into it).
   RealVector sorted;
   /// First/second discrete-derivative series for
   /// stats::hjorth_parameters. The e-Glass extractor takes Hjorth from
@@ -119,6 +119,11 @@ class Workspace {
   /// sum.
   RealVector window_coeffs;
   Real window_power_sum = 0.0;
+  /// Periodogram bin frequencies k * fs / n, k = 0..n/2, keyed by
+  /// (n, fs).
+  RealVector frequency_grid;
+  std::size_t frequency_grid_length = 0;
+  Real frequency_grid_rate = 0.0;
   /// Tapered copy of the periodogram input.
   RealVector tapered;
   /// Odd-length periodization pad for the periodic DWT.
@@ -131,6 +136,12 @@ class Workspace {
   /// cached power sum) only when n changes. Values match hann_window()
   /// exactly.
   const RealVector& window_cache(std::size_t n);
+
+  /// Returns the cached periodogram frequency grid for length n at
+  /// `sample_rate_hz`, rebuilding it only when either changes. Values
+  /// come from the expression periodogram_into evaluated per call
+  /// before it was cached, so they are unchanged.
+  const RealVector& frequency_grid_cache(std::size_t n, Real sample_rate_hz);
 
   /// Returns the cached per-stage radix-2 twiddle table for length-n
   /// transforms in the requested direction, rebuilding both directions

@@ -21,17 +21,19 @@ void SampleRing::push(std::span<const Real> samples) {
               data_.begin());
     return;
   }
-  std::size_t tail = (head_ + size_) % cap;
-  for (const Real sample : samples) {
-    data_[tail] = sample;
-    tail = tail + 1 == cap ? 0 : tail + 1;
-    if (size_ == cap) {
-      head_ = head_ + 1 == cap ? 0 : head_ + 1;  // overwrote the oldest
-      ++dropped_;
-    } else {
-      ++size_;
-    }
-  }
+  // At most two contiguous copies: up to the end of storage, then from
+  // its start. Whatever lands on the oldest samples overwrites them.
+  const std::size_t count = samples.size();
+  const std::size_t tail = (head_ + size_) % cap;
+  const std::size_t first = std::min(count, cap - tail);
+  std::copy_n(samples.begin(), first,
+              data_.begin() + static_cast<std::ptrdiff_t>(tail));
+  std::copy_n(samples.begin() + static_cast<std::ptrdiff_t>(first),
+              count - first, data_.begin());
+  const std::size_t overwritten = size_ + count > cap ? size_ + count - cap : 0;
+  head_ = (head_ + overwritten) % cap;
+  size_ += count - overwritten;
+  dropped_ += overwritten;
 }
 
 void SampleRing::copy_front(std::size_t count, std::span<Real> out) const {

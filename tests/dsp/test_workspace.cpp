@@ -5,8 +5,9 @@
 // workspace exactly — across odd / even / power-of-two lengths (radix-2
 // vs Bluestein FFT, odd-length DWT periodization) and 1–7 decomposition
 // levels. Reusing the workspace across geometries exercises the
-// twiddle, chirp and taper cache invalidation. Power-of-two FFTs are additionally held to the
-// scalar fft_radix2_inplace reference.
+// twiddle, chirp, taper and frequency-grid cache invalidation.
+// Power-of-two FFTs are additionally held to the scalar
+// fft_radix2_inplace reference.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -117,15 +118,26 @@ TEST(WorkspaceParity, RfftMatchesAllocatingPath) {
 }
 
 TEST(WorkspaceParity, PeriodogramMatchesAllocatingPath) {
+  // The length and the sample rate alternate, so the cached frequency
+  // grid is rebuilt on either key changing alone and reused when both
+  // repeat.
   Workspace ws;
   Psd out;
   Psd expected;
   for (const std::size_t n : k_lengths) {
     const RealVector x = noise(n, 2 * n);
-    periodogram_into(x, 256.0, ws, out);
-    Workspace fresh;
-    periodogram_into(x, 256.0, fresh, expected);
-    expect_identical(expected, out, "periodogram");
+    for (const Real rate : {256.0, 173.0, 173.0, 256.0}) {
+      periodogram_into(x, rate, ws, out);
+      Workspace fresh;
+      periodogram_into(x, rate, fresh, expected);
+      expect_identical(expected, out, "periodogram");
+      ASSERT_EQ(out.frequency.size(), n / 2 + 1);
+      for (std::size_t k = 0; k < out.frequency.size(); ++k) {
+        ASSERT_EQ(out.frequency[k],
+                  static_cast<Real>(k) * rate / static_cast<Real>(n))
+            << n << " samples at " << rate << " Hz, bin " << k;
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
@@ -210,7 +211,9 @@ RealVector reference_channel_row(std::span<const Real> x, Real sample_rate_hz) {
 
 /// Windows that stress each accumulator: plain noise, AR(1) EEG-like
 /// drift, a constant, samples exactly at the mean, ties at the quartile
-/// ranks, and a large DC offset.
+/// ranks, and a large DC offset; then orders that are hard on a
+/// quartile selection: ascending, descending, two-valued, organ-pipe
+/// and a median-of-three killer.
 std::vector<std::pair<std::string, RealVector>> reference_windows(
     std::size_t n) {
   std::vector<std::pair<std::string, RealVector>> windows;
@@ -248,27 +251,122 @@ std::vector<std::pair<std::string, RealVector>> reference_windows(
     v += 1e6;
   }
   windows.emplace_back("DC offset 1e6", offset);
+
+  RealVector ascending(n);
+  RealVector descending(n);
+  RealVector two_valued(n);
+  RealVector organ_pipe(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ascending[i] = static_cast<Real>(i) - 100.5;
+    descending[i] = static_cast<Real>(n - i) * 0.25;
+    two_valued[i] = rng.uniform() < 0.3 ? -1.5 : 2.5;
+    organ_pipe[i] = static_cast<Real>(std::min(i, n - 1 - i));
+  }
+  windows.emplace_back("ascending", ascending);
+  windows.emplace_back("descending", descending);
+  windows.emplace_back("two-valued", two_valued);
+  windows.emplace_back("organ pipe", organ_pipe);
+  // Musser's sequence against a first/middle/last median-of-three pivot:
+  // 1, k+1, 3, k+3, ..., then 2, 4, ..., 2k (one more value if n is odd).
+  RealVector killer(n);
+  const std::size_t k = n / 2;
+  for (std::size_t i = 0; i < k; ++i) {
+    killer[i] = static_cast<Real>(i % 2 == 0 ? i + 1 : k + i);
+    killer[k + i] = static_cast<Real>(2 * (i + 1));
+  }
+  if (n % 2 == 1) {
+    killer[n - 1] = static_cast<Real>(n);
+  }
+  windows.emplace_back("median-of-three killer", killer);
   return windows;
 }
 
-TEST(EglassFeatures, RowMatchesPerStatisticReference) {
-  const EglassFeatureExtractor extractor(1);
+void expect_channel_row(const RealVector& row, std::size_t channel,
+                        std::span<const Real> x, const std::string& label) {
   const std::vector<std::string> names =
       EglassFeatureExtractor::per_channel_names();
+  const RealVector expected = reference_channel_row(x, 256.0);
+  ASSERT_GE(row.size(), (channel + 1) * expected.size());
+  for (std::size_t f = 0; f < expected.size(); ++f) {
+    const Real actual = row[channel * expected.size() + f];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+              std::bit_cast<std::uint64_t>(expected[f]))
+        << label << ", channel " << channel << ": " << names[f] << " is "
+        << actual << ", reference " << expected[f];
+  }
+}
+
+TEST(EglassFeatures, RowMatchesPerStatisticReference) {
+  // One channel takes the one-lane time-domain body; two and three
+  // channels run pairs through the two-lane body (and a third channel
+  // through the one-lane body). Every channel sees a different kind of
+  // window, so the lanes of a pair disagree on the variance test, the
+  // crossings and the extremes.
   dsp::Workspace ws;  // reused across lengths, as a session reuses it
   RealVector row;
-  for (const std::size_t n : {65u, 256u, 768u, 1000u, 1024u, 1025u}) {
-    for (const auto& [name, x] : reference_windows(n)) {
-      const RealVector expected = reference_channel_row(x, 256.0);
-      extractor.extract_into({x}, 256.0, row, ws);
-      ASSERT_EQ(row.size(), expected.size());
-      for (std::size_t f = 0; f < row.size(); ++f) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(row[f]),
-                  std::bit_cast<std::uint64_t>(expected[f]))
-            << name << ", " << n << " samples: " << names[f] << " is "
-            << row[f] << ", reference " << expected[f];
+  for (const std::size_t channels : {1u, 2u, 3u}) {
+    const EglassFeatureExtractor extractor(channels);
+    for (const std::size_t n : {65u, 256u, 768u, 1000u, 1024u, 1025u}) {
+      const auto windows = reference_windows(n);
+      for (std::size_t w = 0; w < windows.size(); ++w) {
+        std::vector<std::span<const Real>> spans;
+        std::string label = std::to_string(n) + " samples:";
+        for (std::size_t c = 0; c < channels; ++c) {
+          const auto& [name, x] = windows[(w + 5 * c) % windows.size()];
+          spans.emplace_back(x);
+          label += " [" + name + "]";
+        }
+        extractor.extract_into(spans, 256.0, row, ws);
+        ASSERT_EQ(row.size(), channels * k_eglass_features_per_channel);
+        for (std::size_t c = 0; c < channels; ++c) {
+          expect_channel_row(row, c, spans[c], label);
+        }
       }
     }
+  }
+}
+
+TEST(EglassFeatures, PairOfUnequalLengthsMatchesReference) {
+  // Windows of different lengths cannot share the two-lane body; each
+  // takes the one-lane body and still matches its own reference.
+  const EglassFeatureExtractor extractor(2);
+  const auto long_windows = reference_windows(1024);
+  const auto short_windows = reference_windows(1000);
+  dsp::Workspace ws;
+  RealVector row;
+  for (std::size_t w = 0; w < long_windows.size(); ++w) {
+    const RealVector& a = long_windows[w].second;
+    const auto& [short_name, b] = short_windows[(w + 1) % short_windows.size()];
+    extractor.extract_into({a, b}, 256.0, row, ws);
+    ASSERT_EQ(row.size(), 2 * k_eglass_features_per_channel);
+    expect_channel_row(row, 0, a, long_windows[w].first);
+    expect_channel_row(row, 1, b, short_name);
+  }
+}
+
+TEST(EglassFeatures, NonFiniteSamplesStillGiveAFullRow) {
+  // NaN and infinities make every comparison in the quartile selection
+  // and the extremes meaningless; the row must still come back full
+  // width, without running out of bounds or forever (CI runs this under
+  // ASan).
+  for (const std::size_t n : {65u, 1024u, 1025u}) {
+    RealVector x = reference_windows(n)[1].second;
+    for (std::size_t i = 0; i < n; i += 7) {
+      x[i] = std::numeric_limits<Real>::quiet_NaN();
+    }
+    for (std::size_t i = 3; i < n; i += 11) {
+      x[i] = i % 2 == 0 ? std::numeric_limits<Real>::infinity()
+                        : -std::numeric_limits<Real>::infinity();
+    }
+    const RealVector all_nan(n, std::numeric_limits<Real>::quiet_NaN());
+    dsp::Workspace ws;
+    RealVector row;
+    const EglassFeatureExtractor one(1);
+    one.extract_into({x}, 256.0, row, ws);
+    EXPECT_EQ(row.size(), k_eglass_features_per_channel);
+    const EglassFeatureExtractor three(3);
+    three.extract_into({all_nan, x, x}, 256.0, row, ws);
+    EXPECT_EQ(row.size(), 3 * k_eglass_features_per_channel);
   }
 }
 

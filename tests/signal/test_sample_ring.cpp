@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/random.hpp"
 
 namespace esl::signal {
 namespace {
@@ -103,6 +106,54 @@ TEST(SampleRing, ManySmallPushesMatchOneBigPush) {
   a.copy_all(out_a);
   b.copy_all(out_b);
   EXPECT_EQ(out_a, out_b);
+}
+
+TEST(SampleRing, RandomOperationsMatchDequeOracle) {
+  // Random push sizes (some above capacity, which take the bulk path),
+  // interleaved with drop_front and copy_front, against a deque that
+  // keeps the newest `capacity` samples and counts what it discards.
+  Rng rng(29);
+  for (const std::size_t capacity : {1u, 2u, 7u, 64u}) {
+    SampleRing ring(capacity);
+    std::deque<Real> oracle;
+    std::size_t oracle_dropped = 0;
+    Real next = 0.0;
+    for (int step = 0; step < 2000; ++step) {
+      const std::uint64_t op = rng.uniform_index(4);
+      if (op <= 1) {
+        RealVector block(rng.uniform_index(2 * capacity + 3));
+        for (Real& v : block) {
+          v = next;
+          next += 1.0;
+          oracle.push_back(v);
+        }
+        while (oracle.size() > capacity) {
+          oracle.pop_front();
+          ++oracle_dropped;
+        }
+        ring.push(block);
+      } else if (op == 2) {
+        const std::size_t count = rng.uniform_index(oracle.size() + 1);
+        ring.drop_front(count);
+        oracle.erase(oracle.begin(),
+                     oracle.begin() + static_cast<std::ptrdiff_t>(count));
+      } else {
+        const std::size_t count = rng.uniform_index(oracle.size() + 1);
+        RealVector out(count);
+        ring.copy_front(count, out);
+        ASSERT_TRUE(std::equal(out.begin(), out.end(), oracle.begin()))
+            << "capacity " << capacity << ", step " << step;
+      }
+      ASSERT_EQ(ring.size(), oracle.size())
+          << "capacity " << capacity << ", step " << step;
+      ASSERT_EQ(ring.full(), oracle.size() == capacity);
+      ASSERT_EQ(ring.dropped(), oracle_dropped)
+          << "capacity " << capacity << ", step " << step;
+    }
+    RealVector all(ring.size());
+    ring.copy_all(all);
+    EXPECT_TRUE(std::equal(all.begin(), all.end(), oracle.begin()));
+  }
 }
 
 }  // namespace
