@@ -138,9 +138,8 @@ class Workspace {
   const RealVector& window_cache(std::size_t n);
 
   /// Returns the cached periodogram frequency grid for length n at
-  /// `sample_rate_hz`, rebuilding it only when either changes. Values
-  /// come from the expression periodogram_into evaluated per call
-  /// before it was cached, so they are unchanged.
+  /// `sample_rate_hz` (n/2 + 1 bins, k * fs / n evaluated as written),
+  /// rebuilding it only when either changes.
   const RealVector& frequency_grid_cache(std::size_t n, Real sample_rate_hz);
 
   /// Returns the cached per-stage radix-2 twiddle table for length-n
