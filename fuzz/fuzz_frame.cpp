@@ -57,10 +57,6 @@ std::uint64_t decode_payload(const net::FrameView& view) {
       }
       return sum;
     }
-    case net::FrameType::kLabelAck: {
-      const net::LabelAckPayload ack = net::decode_label_ack(view);
-      return static_cast<std::uint64_t>(ack.onset_s < ack.offset_s);
-    }
     case net::FrameType::kDetections:
       return checksum(net::decode_detections(view));
     case net::FrameType::kStats:

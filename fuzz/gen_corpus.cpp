@@ -136,7 +136,6 @@ std::vector<std::byte> frame_conversation() {
   }
   net::encode_chunk(stream, 7, 3,
                     {std::span<const Real>(ch0), std::span<const Real>(ch1)});
-  net::encode_label(stream, 7, 4);
   net::encode_swap_model(stream, 7, 5, "patient-4");
   net::encode_stats_request(stream, 6);
   net::encode_flush(stream, 7);
@@ -163,7 +162,6 @@ std::vector<std::byte> frame_replies() {
   detections[1].window_start_s = 4.0;
   detections[1].screened_out = 1;
   net::encode_detections(stream, 0, detections);
-  net::encode_label_ack(stream, 7, 4, net::LabelAckPayload{10.0, 22.0});
   net::encode_swap_model_ack(stream, 7, 5);
   net::StatsPayload stats;
   stats.windows_classified = 100;

@@ -1,6 +1,8 @@
 #include "engine/backend.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -95,7 +97,6 @@ void ThreadPoolBackend::start(std::vector<std::unique_ptr<Shard>>& shards,
   ensures(workers_.empty(), "ThreadPoolBackend: started twice");
   shards_ = &shards;
   sink_ = &sink;
-  stopping_.store(false, std::memory_order_relaxed);
   workers_.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     workers_.push_back(std::make_unique<Worker>(config_.queue_capacity));
@@ -109,21 +110,18 @@ void ThreadPoolBackend::stop() {
   if (workers_.empty()) {
     return;
   }
-  // Order matters: drain in-flight chunks, join every worker, and only
+  // Order matters: drain in-flight chunks, close every queue (a worker
+  // runs what is still queued, then exits), join every worker, and only
   // then surface any captured worker error — stop() must never leave
   // threads running by throwing early.
-  flush_barrier();
-  stopping_.store(true, std::memory_order_release);
+  drain();
   for (const auto& worker : workers_) {
-    worker->queue.wake();
+    worker->queue.close();
   }
   for (const auto& worker : workers_) {
     if (worker->thread.joinable()) {
       worker->thread.join();
     }
-  }
-  for (const auto& worker : workers_) {
-    worker->queue.close();
   }
   workers_.clear();
   shards_ = nullptr;
@@ -140,7 +138,7 @@ void ThreadPoolBackend::ingest(
 }
 
 void ThreadPoolBackend::flush() {
-  flush_barrier();
+  drain();
   rethrow_worker_error();
 }
 
@@ -148,79 +146,64 @@ void ThreadPoolBackend::flush_shards_async(
     std::span<const std::uint32_t> shard_indices,
     std::function<void()> done) {
   // Surface any captured worker error on the caller's thread *before*
-  // registering: the callback runs on a worker, where a throw would be
-  // fatal.
+  // pushing markers: `done` runs on a worker, which has no caller to
+  // throw to.
   rethrow_worker_error();
-  run_barrier(shard_indices, std::move(done));
+  push_markers(shard_indices, std::move(done));
 }
 
-void ThreadPoolBackend::flush_barrier() {
-  if (workers_.empty()) {
-    return;
-  }
-  std::vector<std::uint32_t> all(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    all[i] = static_cast<std::uint32_t>(i);
-  }
-  run_barrier(all, nullptr);
-}
-
-void ThreadPoolBackend::run_barrier(
+void ThreadPoolBackend::push_markers(
     std::span<const std::uint32_t> shard_indices,
-    std::function<void()> callback) {
-  if (workers_.empty()) {
-    // No workers yet (backend not started): nothing can be in flight.
-    if (callback) {
-      callback();
-    }
-    return;
-  }
-  auto barrier = std::make_unique<FlushBarrier>();
-  barrier->callback = std::move(callback);
-  // Snapshot how much each covered queue has ever received: the barrier
-  // only waits for *those* chunks, so it completes even while producers
-  // keep streaming new ones past it. Legs are not filtered against
-  // popped() here — popped() advances before the worker delivers to the
-  // sink, so a "pre-satisfied" leg could otherwise complete a barrier
-  // ahead of its detections.
-  barrier->legs.reserve(shard_indices.size());
+    std::function<void()> done) {
   for (const std::uint32_t index : shard_indices) {
     ensures(index < workers_.size(), "ThreadPoolBackend: bad shard index");
-    barrier->legs.emplace_back(static_cast<std::size_t>(index),
-                               workers_[index]->queue.pushed());
   }
-  if (barrier->legs.empty()) {
-    if (barrier->callback) {
-      barrier->callback();
+  if (shard_indices.empty()) {
+    if (done) {
+      done();
     }
     return;
   }
-  FlushBarrier* handle = barrier.get();
-  const bool sync = handle->callback == nullptr;
-  {
-    MutexLock lock(flush_mutex_);
-    barriers_.push_back(std::move(barrier));
-  }
-  // Wake every covered worker so idle queues confirm their (already
-  // reached) watermarks promptly. Iterates the caller's span, not the
-  // registered barrier: workers may already be erasing its legs — and,
-  // on the async path, the whole barrier.
-  for (const std::uint32_t index : shard_indices) {
-    workers_[index]->queue.wake();
-  }
-  if (!sync) {
-    return;  // the confirming worker runs the callback and erases it
-  }
-  MutexLock lock(flush_mutex_);
-  while (!handle->completed) {
-    flush_cv_.wait(lock);
-  }
-  // The waiter owns its barrier's lifetime on the sync path.
-  for (std::size_t i = 0; i < barriers_.size(); ++i) {
-    if (barriers_[i].get() == handle) {
-      barriers_.erase(barriers_.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
+  struct Countdown {
+    std::atomic<std::size_t> remaining;
+    std::function<void()> done;
+  };
+  auto countdown =
+      std::make_shared<Countdown>(shard_indices.size(), std::move(done));
+  const std::function<void()> arrive = [countdown] {
+    if (countdown->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        countdown->done) {
+      countdown->done();
     }
+  };
+  for (const std::uint32_t index : shard_indices) {
+    if (!workers_[index]->queue.push_marker(arrive)) {
+      arrive();  // closed queue: its worker is stopping, so run it here
+    }
+  }
+}
+
+void ThreadPoolBackend::drain() {
+  struct Latch {
+    Mutex mutex;
+    CondVar opened;
+    bool open ESL_GUARDED_BY(mutex) = false;
+  };
+  // Shared with the completion, which may still be notifying on a
+  // worker thread when this waiter wakes and returns.
+  auto latch = std::make_shared<Latch>();
+  std::vector<std::uint32_t> all(workers_.size());
+  std::iota(all.begin(), all.end(), 0u);
+  push_markers(all, [latch] {
+    {
+      MutexLock lock(latch->mutex);
+      latch->open = true;
+    }
+    latch->opened.notify_all();
+  });
+  MutexLock lock(latch->mutex);
+  while (!latch->open) {
+    latch->opened.wait(lock);
   }
 }
 
@@ -235,23 +218,31 @@ void ThreadPoolBackend::rethrow_worker_error() {
 
 void ThreadPoolBackend::run_worker(std::size_t index) {
   Shard& shard = *(*shards_)[index];
-  Worker& worker = *workers_[index];
-  std::vector<IngestChunk> chunks;
+  IngestQueue& queue = workers_[index]->queue;
+  std::vector<IngestChunk> entries;
   std::vector<Detection> detections;
   std::vector<std::span<const Real>> views;
-  std::vector<std::function<void()>> ready_callbacks;
+  const auto capture_error = [this] {
+    MutexLock lock(error_mutex_);
+    if (worker_error_ == nullptr) {
+      worker_error_ = std::current_exception();
+    }
+  };
 
-  while (true) {
-    worker.queue.wait();
-
-    chunks.clear();
-    worker.queue.pop_all(chunks);
-    if (!chunks.empty()) {
+  while (queue.wait()) {
+    queue.pop_all(entries);
+    const bool has_chunks =
+        std::any_of(entries.begin(), entries.end(),
+                    [](const IngestChunk& entry) { return !entry.on_reached; });
+    if (has_chunks) {
       try {
         detections.clear();
         {
           MutexLock lock(shard.mutex);
-          for (const IngestChunk& chunk : chunks) {
+          for (const IngestChunk& chunk : entries) {
+            if (chunk.on_reached) {
+              continue;  // a marker
+            }
             views.clear();
             for (const RealVector& channel : chunk.channels) {
               views.emplace_back(channel);
@@ -265,59 +256,23 @@ void ThreadPoolBackend::run_worker(std::size_t index) {
           sink_->on_detections(detections);
         }
       } catch (...) {
-        MutexLock lock(error_mutex_);
-        if (worker_error_ == nullptr) {
-          worker_error_ = std::current_exception();
-        }
-      }
-      worker.queue.recycle(chunks);
-    }
-
-    // Barrier scan. A leg of this worker's confirms once the queue's
-    // popped() count reaches the leg's watermark: every chunk the
-    // barrier covers has then been ingested *and* polled *and*
-    // delivered (this point is only reached after the drained batch
-    // went through poll_into and the sink), even if producers have
-    // already pushed newer chunks behind it.
-    bool notify = false;
-    {
-      MutexLock lock(flush_mutex_);
-      const std::uint64_t done = worker.queue.popped();
-      for (auto it = barriers_.begin(); it != barriers_.end();) {
-        FlushBarrier& barrier = **it;
-        auto& legs = barrier.legs;
-        legs.erase(std::remove_if(legs.begin(), legs.end(),
-                                  [index, done](const auto& leg) {
-                                    return leg.first == index &&
-                                           done >= leg.second;
-                                  }),
-                   legs.end());
-        if (legs.empty() && !barrier.completed) {
-          barrier.completed = true;
-          if (barrier.callback) {
-            // Async barrier: this worker runs the callback (outside the
-            // lock) and owns the erase; sync waiters erase their own.
-            ready_callbacks.push_back(std::move(barrier.callback));
-            it = barriers_.erase(it);
-            continue;
-          }
-          notify = true;
-        }
-        ++it;
+        capture_error();
       }
     }
-    if (notify) {
-      flush_cv_.notify_all();
+    // Every chunk ahead of a marker in this batch (or in an earlier one)
+    // has been delivered, or its error captured: complete the markers.
+    // A throwing completion must neither end the worker nor skip the
+    // markers behind it.
+    for (const IngestChunk& entry : entries) {
+      if (entry.on_reached) {
+        try {
+          entry.on_reached();
+        } catch (...) {
+          capture_error();
+        }
+      }
     }
-    for (auto& callback : ready_callbacks) {
-      callback();
-    }
-    ready_callbacks.clear();
-
-    if (stopping_.load(std::memory_order_acquire) &&
-        worker.queue.size() == 0) {
-      return;
-    }
+    queue.recycle(entries);
   }
 }
 

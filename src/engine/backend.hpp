@@ -13,11 +13,13 @@
 //     the chunk into the shard's bounded IngestQueue (any number of
 //     producer threads) and returns; the worker drains the queue, runs
 //     Engine::ingest + poll off the caller's thread, and delivers
-//     detections to the DetectionSink. flush() is a barrier: every
-//     chunk enqueued before it has been windowed, classified, and
-//     delivered when it returns; flush_shards_async() scopes the
-//     barrier to a subset of shards so one caller's barrier does not
-//     stall the rest of the fleet.
+//     detections to the DetectionSink. A flush is a marker pushed into
+//     each covered queue behind the chunks already there; a worker
+//     completes its marker once the batch holding it was delivered, and
+//     the last completion ends the flush. flush() waits for that over
+//     every shard; flush_shards_async() covers a subset of shards and
+//     returns at once, so one caller's barrier does not stall the rest
+//     of the fleet.
 //
 // Ordering guarantee (both backends): detections for one session are
 // always delivered in window order. Cross-session/cross-shard ordering
@@ -25,14 +27,12 @@
 // independent, so interleaving across shards carries no information.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <span>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -199,6 +199,18 @@ struct ThreadPoolConfig {
 
 /// One worker thread per shard; chunks flow through bounded ingest
 /// queues so producers never run feature extraction or inference.
+///
+/// Barriers travel through the same queues. A flush pushes one marker
+/// into each covered shard's queue; markers never wait for room, so a
+/// full queue cannot block the pusher. A worker ingests the data chunks
+/// of the batch it popped, polls once, delivers, and only then runs the
+/// batch's marker completions (outside the shard mutex, also when
+/// ingest, poll or the sink threw). FIFO order makes every chunk pushed
+/// before a marker part of that batch or an earlier one. The last
+/// covered shard to complete runs the flush's `done`. stop() drains the
+/// same way, then closes every queue: a worker exits once its queue is
+/// closed and empty, and a marker refused by a closed queue completes
+/// on the pushing thread.
 class ThreadPoolBackend final : public ExecutionBackend {
  public:
   explicit ThreadPoolBackend(ThreadPoolConfig config = {});
@@ -221,29 +233,13 @@ class ThreadPoolBackend final : public ExecutionBackend {
     std::thread thread;
   };
 
-  /// One outstanding scoped barrier. Each covered worker owns one leg
-  /// (its index plus the queue.pushed() watermark snapshotted when the
-  /// barrier was made); a worker confirms its leg once queue.popped()
-  /// reaches the watermark *at its post-delivery scan point* — popped()
-  /// advances in pop_all, before detections reach the sink, so legs are
-  /// never pre-filtered at creation. When the last leg confirms, the
-  /// barrier completes: sync waiters are notified via flush_cv_, async
-  /// barriers run `callback` on the confirming worker's thread (outside
-  /// flush_mutex_).
-  struct FlushBarrier {
-    std::vector<std::pair<std::size_t, std::uint64_t>> legs;
-    bool completed = false;
-    std::function<void()> callback;
-  };
-
   void run_worker(std::size_t index);
+  /// Pushes one marker into each named shard's queue; the last one
+  /// reached runs `done`, inline when no queue is covered.
+  void push_markers(std::span<const std::uint32_t> shard_indices,
+                    std::function<void()> done);
   /// flush() without the worker-error rethrow (stop() must join first).
-  void flush_barrier();
-  /// Registers a barrier over `shard_indices`. Null callback: blocks
-  /// until the barrier completes. Non-null: returns immediately; the
-  /// callback runs when it completes.
-  void run_barrier(std::span<const std::uint32_t> shard_indices,
-                   std::function<void()> callback);
+  void drain();
   /// Rethrows the first captured worker exception, if any.
   void rethrow_worker_error();
 
@@ -251,12 +247,6 @@ class ThreadPoolBackend final : public ExecutionBackend {
   std::vector<std::unique_ptr<Shard>>* shards_ = nullptr;
   DetectionSink* sink_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
-
-  mutable Mutex flush_mutex_;
-  CondVar flush_cv_;
-  std::vector<std::unique_ptr<FlushBarrier>> barriers_
-      ESL_GUARDED_BY(flush_mutex_);
-  std::atomic<bool> stopping_{false};
 
   // First exception thrown on a worker thread (engine precondition
   // violations surface on the caller's thread at the next flush/stop).

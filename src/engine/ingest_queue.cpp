@@ -34,7 +34,18 @@ bool IngestQueue::push(std::uint64_t session_id,
       slot.channels[c].assign(chunk[c].begin(), chunk[c].end());
     }
     items_.push_back(std::move(slot));
-    ++pushed_;
+  }
+  consumer_.notify_one();
+  return true;
+}
+
+bool IngestQueue::push_marker(const std::function<void()>& on_reached) {
+  {
+    MutexLock lock(mutex_);
+    if (closed_) {
+      return false;
+    }
+    items_.emplace_back().on_reached = on_reached;
   }
   consumer_.notify_one();
   return true;
@@ -47,7 +58,6 @@ std::size_t IngestQueue::pop_all(std::vector<IngestChunk>& out) {
     out.push_back(std::move(item));
   }
   items_.clear();
-  popped_ += moved;
   if (moved > 0) {
     not_full_.notify_all();
   }
@@ -60,25 +70,19 @@ void IngestQueue::recycle(std::vector<IngestChunk>& consumed) {
     if (pool_.size() >= capacity_) {
       break;  // keep the pool bounded; the rest just deallocates
     }
-    pool_.push_back(std::move(chunk));
+    if (!chunk.on_reached) {  // a marker has no storage worth keeping
+      pool_.push_back(std::move(chunk));
+    }
   }
   consumed.clear();
 }
 
-void IngestQueue::wait() {
+bool IngestQueue::wait() {
   MutexLock lock(mutex_);
-  while (items_.empty() && !wake_pending_ && !closed_) {
+  while (items_.empty() && !closed_) {
     consumer_.wait(lock);
   }
-  wake_pending_ = false;
-}
-
-void IngestQueue::wake() {
-  {
-    MutexLock lock(mutex_);
-    wake_pending_ = true;
-  }
-  consumer_.notify_all();
+  return !items_.empty();
 }
 
 void IngestQueue::close() {
@@ -93,16 +97,6 @@ void IngestQueue::close() {
 std::size_t IngestQueue::size() const {
   MutexLock lock(mutex_);
   return items_.size();
-}
-
-std::uint64_t IngestQueue::pushed() const {
-  MutexLock lock(mutex_);
-  return pushed_;
-}
-
-std::uint64_t IngestQueue::popped() const {
-  MutexLock lock(mutex_);
-  return popped_;
 }
 
 }  // namespace esl::engine

@@ -101,32 +101,6 @@ std::shared_ptr<const ml::InferenceModel> ModelRegistry::open(
   return model;
 }
 
-bool ModelRegistry::contains(std::string_view patient_key) const {
-  std::uint64_t file_bytes = 0;
-  std::int64_t mtime_ns = 0;
-  return stat_artifact(artifact_path(patient_key), &file_bytes, &mtime_ns);
-}
-
-std::size_t ModelRegistry::refresh() const {
-  MutexLock lock(mutex_);
-  std::size_t dropped = 0;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    std::uint64_t file_bytes = 0;
-    std::int64_t mtime_ns = 0;
-    const bool fresh =
-        stat_artifact(artifact_path(it->first), &file_bytes, &mtime_ns) &&
-        file_bytes == it->second.file_bytes &&
-        mtime_ns == it->second.mtime_ns;
-    if (fresh) {
-      ++it;
-    } else {
-      it = cache_.erase(it);
-      ++dropped;
-    }
-  }
-  return dropped;
-}
-
 std::size_t ModelRegistry::cached_count() const {
   MutexLock lock(mutex_);
   return cache_.size();

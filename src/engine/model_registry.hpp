@@ -16,10 +16,10 @@
 // mapping (and therefore the mapped pages) alive until they drop it.
 //
 // Redeploys: a trainer replaces an artifact by save_artifact() over the
-// same path (atomic rename). refresh() re-stats every cached entry and
-// drops the stale ones, so the next open(key) maps the new file; live
-// sessions keep serving the old mapping until swap_model hands them the
-// new model. All methods are thread-safe (one internal mutex; the
+// same path (atomic rename). open() re-stats the file on every call, so
+// the next open(key) after a replace maps the new file; live sessions
+// keep serving the old mapping until swap_model hands them the new
+// model. All methods are thread-safe (one internal mutex; the
 // expensive mmap itself is cheap — O(header)).
 #pragma once
 
@@ -62,14 +62,6 @@ class ModelRegistry {
   /// Logically const: only the internal cache mutates.
   std::shared_ptr<const ml::InferenceModel> open(
       std::string_view patient_key) const;
-
-  /// True when an artifact file for the key exists on disk right now.
-  bool contains(std::string_view patient_key) const;
-
-  /// Drops every cached entry whose backing file changed or vanished
-  /// since it was mapped; returns how many were dropped. The next
-  /// open() of a dropped key maps the replacement file.
-  std::size_t refresh() const;
 
   /// Cached mappings right now (<= capacity).
   std::size_t cached_count() const;

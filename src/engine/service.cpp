@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "engine/model_registry.hpp"
 
 namespace esl::engine {
 
@@ -264,14 +263,6 @@ void DetectionService::swap_model(
   // mid-batch with a dangling model.
   MutexLock lock(shard.mutex);
   shard.engine->swap_model(handle.local_id(), std::move(model));
-}
-
-void DetectionService::swap_model(SessionHandle handle,
-                                  const ModelRegistry& registry,
-                                  std::string_view patient_key) {
-  // Map (or reuse the cached mapping) outside the shard lock — opening
-  // may hit the filesystem — then deploy with the plain swap.
-  swap_model(handle, registry.open(patient_key));
 }
 
 std::shared_ptr<const ml::InferenceModel> DetectionService::session_model(

@@ -30,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -39,8 +38,6 @@
 #include "ml/inference_model.hpp"
 
 namespace esl::engine {
-
-class ModelRegistry;
 
 struct ServiceConfig {
   /// Number of shards (Engines). Sessions are hash-partitioned across
@@ -155,17 +152,12 @@ class DetectionService {
   /// keep their labels; every window polled after the swap uses `model`.
   /// nullptr restores the automatic fleet/pipeline model choice. This is
   /// the self-learning redeploy path: patient_trigger ->
-  /// RealtimeDetector::compile() -> swap_model, all mid-stream.
+  /// RealtimeDetector::compile() -> swap_model, all mid-stream. The
+  /// fleet redeploy path passes a model mapped from disk instead:
+  /// swap_model(handle, registry.open(patient_key))
+  /// (engine/model_registry.hpp).
   void swap_model(SessionHandle handle,
                   std::shared_ptr<const ml::InferenceModel> model);
-  /// Swap-from-disk: deploys the registry's mapped artifact for
-  /// `patient_key` (engine/model_registry.hpp) — the fleet redeploy
-  /// path, where personalized models arrive as files from a separate
-  /// training process instead of an in-process fit. Equivalent to
-  /// swap_model(handle, registry.open(patient_key)); same mid-stream
-  /// guarantees, on any backend.
-  void swap_model(SessionHandle handle, const ModelRegistry& registry,
-                  std::string_view patient_key);
   /// The model currently classifying one session's windows (snapshot
   /// under the shard lock; nullptr while the session is cold).
   std::shared_ptr<const ml::InferenceModel> session_model(

@@ -113,16 +113,6 @@ void ShardClient::swap_model(std::uint64_t client_id, std::string_view key) {
   await(FrameType::kSwapModelAck, sequence);
 }
 
-signal::Interval ShardClient::label(std::uint64_t client_id) {
-  expects(socket_.valid(), "ShardClient: not connected");
-  const std::uint64_t sequence = next_sequence_++;
-  encode_label(outgoing_, client_id, sequence);
-  send_frame();
-  const LabelAckPayload ack =
-      decode_label_ack(await(FrameType::kLabelAck, sequence));
-  return signal::Interval{ack.onset_s, ack.offset_s};
-}
-
 void ShardClient::close_session(std::uint64_t client_id) {
   expects(socket_.valid(), "ShardClient: not connected");
   const std::uint64_t sequence = next_sequence_++;
@@ -328,11 +318,6 @@ void RemoteBackend::remote_swap_model(engine::SessionHandle handle,
                                       std::string_view key) {
   MutexLock lock(mutex_);
   client_.swap_model(handle.value, key);
-}
-
-signal::Interval RemoteBackend::remote_trigger(engine::SessionHandle handle) {
-  MutexLock lock(mutex_);
-  return client_.label(handle.value);
 }
 
 bool RemoteBackend::server_has_registry() {

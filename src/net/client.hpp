@@ -39,7 +39,6 @@
 #include "engine/patient_session.hpp"
 #include "net/wire.hpp"
 #include "platform/socket.hpp"
-#include "signal/annotation.hpp"
 
 namespace esl::net {
 
@@ -106,10 +105,6 @@ class ShardClient {
   /// Deploys the server registry's artifact for `key` onto the mirrored
   /// session.
   void swap_model(std::uint64_t client_id, std::string_view key);
-
-  /// Patient-reported event on the mirrored session: the server runs
-  /// the a-posteriori labeling trigger and returns the labeled window.
-  signal::Interval label(std::uint64_t client_id);
 
   /// Retires the server-side session mirroring `client_id`: the server
   /// frees its engine slot and forgets the detection route. Awaits the
@@ -201,7 +196,6 @@ class RemoteBackend final : public engine::ExecutionBackend {
   /// Engines). All thread-safe.
   engine::EngineStats remote_stats();
   void remote_swap_model(engine::SessionHandle handle, std::string_view key);
-  signal::Interval remote_trigger(engine::SessionHandle handle);
   bool server_has_registry();
 
  private:

@@ -313,10 +313,9 @@ void ShardServer::handle_frame(Connection& connection, const FrameView& view) {
   const std::uint64_t sequence = view.header.sequence;
 
   if (type == FrameType::kHello) {
-    decode_hello(view);  // structural check; nonce echoed below
-    connection.saw_hello = true;
     HelloAckPayload ack;
-    ack.nonce = decode_hello(view).nonce;
+    ack.nonce = decode_hello(view).nonce;  // structural check, then echo
+    connection.saw_hello = true;
     ack.shard_count = static_cast<std::uint32_t>(service_->shard_count());
     ack.flags = registry_ != nullptr ? k_hello_flag_registry : 0;
     queue_frame(connection, [&](std::vector<std::byte>& out) {
@@ -378,27 +377,6 @@ void ShardServer::handle_frame(Connection& connection, const FrameView& view) {
       }
       return;
     }
-    case FrameType::kLabel: {
-      const auto session = connection.sessions.find(view.header.session_id);
-      if (session == connection.sessions.end()) {
-        queue_error(connection, sequence, WireErrorCode::kInvalidArgument,
-                    "label addresses a session this connection never opened");
-        return;
-      }
-      try {
-        const signal::Interval interval =
-            service_->patient_trigger(session->second);
-        LabelAckPayload ack;
-        ack.onset_s = interval.onset;
-        ack.offset_s = interval.offset;
-        queue_frame(connection, [&](std::vector<std::byte>& out) {
-          encode_label_ack(out, view.header.session_id, sequence, ack);
-        });
-      } catch (const Error& error) {
-        queue_error(connection, sequence, code_of(error), error.what());
-      }
-      return;
-    }
     case FrameType::kStatsRequest: {
       const StatsPayload stats = to_wire(service_->stats());
       queue_frame(connection, [&](std::vector<std::byte>& out) {
@@ -421,7 +399,7 @@ void ShardServer::handle_frame(Connection& connection, const FrameView& view) {
         return;
       }
       try {
-        service_->swap_model(session->second, *registry_, key);
+        service_->swap_model(session->second, registry_->open(key));
         queue_frame(connection, [&](std::vector<std::byte>& out) {
           encode_swap_model_ack(out, view.header.session_id, sequence);
         });
@@ -435,8 +413,8 @@ void ShardServer::handle_frame(Connection& connection, const FrameView& view) {
       // only: the loop keeps serving other connections while the
       // covered shards drain. The completion queues the kFlushAck, so
       // the ack still lands behind every detection the barrier covers
-      // (each covered worker delivers to the sink before confirming its
-      // leg) — the ordering clients rely on.
+      // (each covered worker delivers to the sink before it completes
+      // its flush marker) — the ordering clients rely on.
       flush_scratch_.clear();
       for (const auto& [client_id, handle] : connection.sessions) {
         (void)client_id;

@@ -6,9 +6,11 @@
 // net/wire.hpp frame protocol with any number of client connections.
 // Each connection is an independent conversation: hello, then open
 // sessions (routed by the client's routing key through the service's
-// own splitmix64 hash), stream chunks, flush barriers, label triggers,
-// registry model swaps, stats — with detection batches streamed back
-// tagged with the client's own session ids.
+// own splitmix64 hash), stream chunks, flush barriers, registry model
+// swaps, stats — with detection batches streamed back tagged with the
+// client's own session ids. A patient's press is labeled client-side:
+// the client saves the retrained artifact into the registry and asks
+// for a kSwapModel.
 //
 // Concurrency shape: one event-loop thread multiplexes the listener
 // and every connection with poll(2). Frame decode + service calls run
@@ -37,14 +39,15 @@
 // queue is full.
 //
 // Flush: a kFlush barriers only the requesting connection's sessions
-// (their shards), asynchronously — the loop registers the scoped
-// barrier and keeps serving every connection; when the last covered
-// shard worker confirms delivery, it queues the kFlushAck behind the
-// detections the barrier covered (the ack-never-overtakes-detections
-// ordering clients rely on). One chatty client's flush cadence
-// therefore cannot serialize the fleet. Under the inline backend the
-// barrier degenerates to a synchronous per-shard poll on the loop
-// thread.
+// (their shards), asynchronously — the loop pushes one flush marker
+// into each covered shard's ingest queue, which never waits for room,
+// and keeps serving every connection; when the last covered worker
+// reaches its marker, after delivering every chunk queued ahead of it,
+// it queues the kFlushAck behind the detections the barrier covered
+// (the ack-never-overtakes-detections ordering clients rely on). One
+// chatty client's flush cadence therefore cannot serialize the fleet.
+// Under the inline backend the barrier degenerates to a synchronous
+// per-shard poll on the loop thread.
 //
 // Failure semantics: malformed bytes (bad magic/version/length) poison
 // the connection — it is dropped, nothing else is affected. Well-formed

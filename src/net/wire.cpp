@@ -17,8 +17,9 @@ struct PayloadBounds {
   bool exact = true;
 };
 
-PayloadBounds payload_bounds(FrameType type) {
-  switch (type) {
+/// Throws for a type number no FrameType names.
+PayloadBounds payload_bounds(std::uint16_t type) {
+  switch (static_cast<FrameType>(type)) {
     case FrameType::kHello:
       return {sizeof(HelloPayload), true};
     case FrameType::kHelloAck:
@@ -29,10 +30,6 @@ PayloadBounds payload_bounds(FrameType type) {
       return {sizeof(OpenSessionAckPayload), true};
     case FrameType::kChunk:
       return {sizeof(ChunkPayload), false};
-    case FrameType::kLabel:
-      return {0, true};
-    case FrameType::kLabelAck:
-      return {sizeof(LabelAckPayload), true};
     case FrameType::kDetections:
       return {sizeof(DetectionsPayload), false};
     case FrameType::kStatsRequest:
@@ -59,11 +56,6 @@ PayloadBounds payload_bounds(FrameType type) {
       return {0, true};
   }
   throw InvalidArgument("wire frame type is not recognized");
-}
-
-bool known_frame_type(std::uint16_t type) {
-  return type >= static_cast<std::uint16_t>(FrameType::kHello) &&
-         type <= static_cast<std::uint16_t>(FrameType::kCloseSessionAck);
 }
 
 /// memcpy a trivially-copyable payload struct out of a validated view.
@@ -147,14 +139,11 @@ void validate(const FrameHeader& header) {
           "wire frame endianness does not match this host");
   expects(header.real_bytes == sizeof(Real),
           "wire frame sample width does not match this build");
-  expects(known_frame_type(header.type),
-          "wire frame type is not recognized");
+  const PayloadBounds bounds = payload_bounds(header.type);
   expects(header.payload_bytes <= k_max_payload_bytes,
           "wire frame payload length exceeds the protocol maximum");
   expects(header.payload_bytes % k_frame_alignment == 0,
           "wire frame payload length is not a multiple of the frame alignment");
-  const PayloadBounds bounds =
-      payload_bounds(static_cast<FrameType>(header.type));
   if (bounds.exact) {
     expects(header.payload_bytes == padded(bounds.min_bytes),
             "wire frame payload length does not match its frame type");
@@ -194,10 +183,6 @@ OpenSessionPayload decode_open_session(const FrameView& view) {
 
 OpenSessionAckPayload decode_open_session_ack(const FrameView& view) {
   return copy_payload<OpenSessionAckPayload>(view, FrameType::kOpenSessionAck);
-}
-
-LabelAckPayload decode_label_ack(const FrameView& view) {
-  return copy_payload<LabelAckPayload>(view, FrameType::kLabelAck);
 }
 
 StatsPayload decode_stats(const FrameView& view) {
@@ -351,16 +336,6 @@ void encode_chunk(std::vector<std::byte>& out, std::uint64_t session_id,
     }
     taken += take;
   }
-}
-
-void encode_label(std::vector<std::byte>& out, std::uint64_t session_id,
-                  std::uint64_t sequence) {
-  append_empty_frame(out, FrameType::kLabel, session_id, sequence);
-}
-
-void encode_label_ack(std::vector<std::byte>& out, std::uint64_t session_id,
-                      std::uint64_t sequence, const LabelAckPayload& payload) {
-  append_struct_frame(out, FrameType::kLabelAck, session_id, sequence, payload);
 }
 
 void encode_detections(std::vector<std::byte>& out, std::uint64_t sequence,

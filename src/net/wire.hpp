@@ -31,9 +31,6 @@
 //                               hash the in-process service uses
 //   kChunk                      one ingest chunk, channel-major raw
 //                               Real samples
-//   kLabel / kLabelAck          patient-reported event: the server
-//                               runs the a-posteriori labeling trigger
-//                               and returns the labeled interval
 //   kDetections (server)        batch of classified windows, streamed
 //                               back as they are produced
 //   kStatsRequest / kStats      aggregate EngineStats snapshot
@@ -96,8 +93,8 @@ enum class FrameType : std::uint16_t {
   kOpenSession = 3,
   kOpenSessionAck = 4,
   kChunk = 5,
-  kLabel = 6,
-  kLabelAck = 7,
+  // 6 and 7 carried a server-side label press; they are retired and
+  // validate() rejects them.
   kDetections = 8,
   kStatsRequest = 9,
   kStats = 10,
@@ -125,7 +122,7 @@ struct FrameHeader {
   std::uint16_t real_bytes = sizeof(Real);
   std::uint32_t payload_bytes = 0;
   /// Client-side SessionHandle value for session-scoped frames
-  /// (kChunk, kLabel, kSwapModel, kOpenSession); 0 on connection-scoped
+  /// (kChunk, kSwapModel, kOpenSession); 0 on connection-scoped
   /// frames. The server never interprets its bits — it is an opaque key
   /// the detections are addressed back to.
   std::uint64_t session_id = 0;
@@ -220,12 +217,6 @@ static_assert(sizeof(DetectionsPayload) == 8);
 inline constexpr std::size_t k_max_detections_per_frame =
     (k_max_payload_bytes - sizeof(DetectionsPayload)) / sizeof(WireDetection);
 
-struct LabelAckPayload {
-  double onset_s = 0.0;
-  double offset_s = 0.0;
-};
-static_assert(sizeof(LabelAckPayload) == 16);
-
 /// engine::EngineStats with pinned widths.
 struct StatsPayload {
   std::uint64_t windows_classified = 0;
@@ -302,7 +293,6 @@ HelloPayload decode_hello(const FrameView& view);
 HelloAckPayload decode_hello_ack(const FrameView& view);
 OpenSessionPayload decode_open_session(const FrameView& view);
 OpenSessionAckPayload decode_open_session_ack(const FrameView& view);
-LabelAckPayload decode_label_ack(const FrameView& view);
 StatsPayload decode_stats(const FrameView& view);
 
 /// Borrowed chunk view: `samples` aims into the frame's payload
@@ -354,10 +344,6 @@ void encode_open_session_ack(std::vector<std::byte>& out,
 void encode_chunk(std::vector<std::byte>& out, std::uint64_t session_id,
                   std::uint64_t sequence,
                   const std::vector<std::span<const Real>>& chunk);
-void encode_label(std::vector<std::byte>& out, std::uint64_t session_id,
-                  std::uint64_t sequence);
-void encode_label_ack(std::vector<std::byte>& out, std::uint64_t session_id,
-                      std::uint64_t sequence, const LabelAckPayload& payload);
 void encode_detections(std::vector<std::byte>& out, std::uint64_t sequence,
                        std::span<const WireDetection> detections);
 void encode_stats_request(std::vector<std::byte>& out, std::uint64_t sequence);

@@ -105,11 +105,15 @@ TEST(MutexIngestQueueTest, CloseUnblocksAndFailsProducers) {
   EXPECT_EQ(queue.pop_all(chunks), 1u);
 }
 
-TEST(MutexIngestQueueTest, WakeIsLatchedForTheNextWait) {
-  IngestQueue queue(1);
-  queue.wake();
-  queue.wait();  // must return immediately instead of blocking forever
-  SUCCEED();
+TEST(MutexIngestQueueTest, WaitReturnsFalseOnlyOnceClosedAndDrained) {
+  IngestQueue queue(2);
+  const Real sample = 0.0;
+  ASSERT_TRUE(queue.push(0, encode(sample)));
+  queue.close();
+  EXPECT_TRUE(queue.wait());  // closed, but a chunk is still queued
+  std::vector<IngestChunk> chunks;
+  EXPECT_EQ(queue.pop_all(chunks), 1u);
+  EXPECT_FALSE(queue.wait());  // closed and empty: the consumer exits
 }
 
 TEST(MutexIngestQueueTest, MultiProducerOrderIsPerProducerFifo) {
@@ -150,22 +154,53 @@ TEST(MutexIngestQueueTest, MultiProducerOrderIsPerProducerFifo) {
   }
 }
 
-TEST(MutexIngestQueueTest, WatermarksCountPushesAndPops) {
-  // Flush barriers snapshot pushed() and wait for popped() to reach it.
-  IngestQueue queue(4);
-  EXPECT_EQ(queue.pushed(), 0u);
-  EXPECT_EQ(queue.popped(), 0u);
-
+TEST(MutexIngestQueueTest, MarkerSkipsTheCapacityWaitAndKeepsItsFifoPosition) {
+  IngestQueue queue(2);
   const Real sample = 0.0;
-  ASSERT_TRUE(queue.push(7, encode(sample)));
-  ASSERT_TRUE(queue.push(8, encode(sample)));
-  EXPECT_EQ(queue.pushed(), 2u);
-  EXPECT_EQ(queue.popped(), 0u);
+  ASSERT_TRUE(queue.push(0, encode(sample)));
+  ASSERT_TRUE(queue.push(1, encode(sample)));  // now full
 
-  std::vector<IngestChunk> chunks;
-  queue.pop_all(chunks);
-  EXPECT_EQ(queue.pushed(), 2u);
-  EXPECT_EQ(queue.popped(), 2u);
+  // A marker does not wait for room (a blocked pusher would hang here).
+  int reached = 0;
+  ASSERT_TRUE(queue.push_marker([&reached] { ++reached; }));
+  EXPECT_EQ(queue.size(), 3u);
+
+  // A chunk pushed after the marker waits for room and lands behind it.
+  std::thread producer([&] {
+    const Real late = 2.0;
+    queue.push(2, encode(late));
+  });
+  std::vector<IngestChunk> entries;
+  while (entries.size() < 4) {
+    queue.wait();
+    queue.pop_all(entries);
+  }
+  producer.join();
+
+  ASSERT_EQ(entries.size(), 4u);
+  for (const std::size_t i : {0u, 1u, 3u}) {
+    EXPECT_FALSE(entries[i].on_reached) << "entry " << i;
+  }
+  EXPECT_EQ(entries[0].session_id, 0u);
+  EXPECT_EQ(entries[1].session_id, 1u);
+  EXPECT_EQ(entries[3].session_id, 2u);
+  ASSERT_TRUE(entries[2].on_reached);
+  EXPECT_TRUE(entries[2].channels.empty());
+  entries[2].on_reached();
+  EXPECT_EQ(reached, 1);
+
+  // Recycling keeps chunk storage and drops the marker.
+  queue.recycle(entries);
+  EXPECT_TRUE(entries.empty());
+}
+
+TEST(MutexIngestQueueTest, MarkerPushedAfterCloseIsRefused) {
+  IngestQueue queue(1);
+  queue.close();
+  bool reached = false;
+  EXPECT_FALSE(queue.push_marker([&reached] { reached = true; }));
+  // Refused, not run: the pusher owns the completion.
+  EXPECT_FALSE(reached);
   EXPECT_EQ(queue.size(), 0u);
 }
 

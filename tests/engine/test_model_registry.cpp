@@ -1,8 +1,8 @@
-// ModelRegistry suites: path/cache/LRU/refresh semantics over a
+// ModelRegistry suites: path/cache/LRU/staleness semantics over a
 // directory of artifacts, and the fleet redeploy story end to end —
-// DetectionService::swap_model(handle, registry, key) deploying mapped
-// models into live sessions, including a trainer replacing an artifact
-// file (atomic rename + refresh) while worker threads keep ingesting.
+// DetectionService::swap_model(handle, registry.open(key)) deploying
+// mapped models into live sessions, including a trainer replacing an
+// artifact file (atomic rename) while worker threads keep ingesting.
 // The parity contract is the service suite's: mapped models are
 // bit-identical to their in-memory sources, so any interleaving of
 // swap-from-disk deploys must reproduce the single-Engine reference
@@ -118,13 +118,15 @@ TEST(ModelRegistry, OpenThrowsForMissingKeysAndContainsTracksDisk) {
   RegistryConfig config;
   config.directory = scratch_dir("registry_missing");
   const ModelRegistry registry(config);
-  EXPECT_FALSE(registry.contains("chb04"));
   EXPECT_THROW(registry.open("chb04"), DataError);
   EXPECT_EQ(registry.cached_count(), 0u);
 
   save_small_artifact(registry.artifact_path("chb04"), 4, 11);
-  EXPECT_TRUE(registry.contains("chb04"));
   EXPECT_NE(registry.open("chb04"), nullptr);
+
+  // The file vanishing makes open() throw again, cached entry or not.
+  ASSERT_EQ(std::remove(registry.artifact_path("chb04").c_str()), 0);
+  EXPECT_THROW(registry.open("chb04"), DataError);
 }
 
 TEST(ModelRegistry, OpenCachesTheMappingUntilTheFileIsReplaced) {
@@ -138,12 +140,11 @@ TEST(ModelRegistry, OpenCachesTheMappingUntilTheFileIsReplaced) {
   EXPECT_EQ(registry.cached_count(), 1u);
 
   // Trainer redeploys over the same path (atomic rename inside
-  // save_artifact). refresh() notices the changed file identity; the
-  // next open maps the replacement.
+  // save_artifact). open() notices the changed file identity and maps
+  // the replacement in place of the cached entry.
   save_small_artifact(registry.artifact_path("chb04"), 8, 22);
-  EXPECT_EQ(registry.refresh(), 1u);
-  EXPECT_EQ(registry.cached_count(), 0u);
   const auto second = registry.open("chb04");
+  EXPECT_EQ(registry.cached_count(), 1u);
   ASSERT_NE(second, first);
   EXPECT_STREQ(second->name(), "mapped");
   EXPECT_EQ(second->tree_count(), 8u);
@@ -158,8 +159,8 @@ TEST(ModelRegistry, OpenAloneAlsoSeesReplacedFilesWithoutRefresh) {
   save_small_artifact(registry.artifact_path("chb04"), 4, 31);
   const auto first = registry.open("chb04");
   save_small_artifact(registry.artifact_path("chb04"), 8, 32);
-  // open() re-stats per call, so even without refresh() a stale cache
-  // entry is bypassed when the file identity changed.
+  // open() re-stats per call, so a stale cache entry is bypassed when
+  // the file identity changed.
   const auto second = registry.open("chb04");
   EXPECT_NE(second, first);
   EXPECT_EQ(second->tree_count(), 8u);
@@ -187,18 +188,6 @@ TEST(ModelRegistry, EvictsTheLeastRecentlyUsedMappingBeyondCapacity) {
   // while the evicted mapping keeps serving for anyone still holding it.
   EXPECT_NE(registry.open("b"), model_b);
   EXPECT_EQ(model_b->tree_count(), 4u);
-}
-
-TEST(ModelRegistry, RefreshDropsEntriesWhoseFilesVanished) {
-  RegistryConfig config;
-  config.directory = scratch_dir("registry_vanish");
-  const ModelRegistry registry(config);
-  save_small_artifact(registry.artifact_path("chb04"), 4, 51);
-  (void)registry.open("chb04");
-  ASSERT_EQ(std::remove(registry.artifact_path("chb04").c_str()), 0);
-  EXPECT_EQ(registry.refresh(), 1u);
-  EXPECT_FALSE(registry.contains("chb04"));
-  EXPECT_THROW(registry.open("chb04"), DataError);
 }
 
 // ------------------------------------ service swap-from-disk suites
@@ -334,11 +323,11 @@ TEST_F(RegistryServiceTest, SwapFromRegistryDeploysTheMappedForest) {
   const ModelRegistry registry(registry_config());
   DetectionService service(*fleet_);
   const SessionHandle handle = service.create_session();
-  service.swap_model(handle, registry, "fleet");
+  service.swap_model(handle, registry.open("fleet"));
   EXPECT_STREQ(service.session_model(handle)->name(), "mapped");
   EXPECT_EQ(service.session_model(handle), registry.open("fleet"));
 
-  EXPECT_THROW(service.swap_model(handle, registry, "unknown-patient"),
+  EXPECT_THROW(service.swap_model(handle, registry.open("unknown-patient")),
                DataError);
   // The failed swap left the previous deploy in place.
   EXPECT_STREQ(service.session_model(handle)->name(), "mapped");
@@ -369,7 +358,7 @@ TEST_F(RegistryServiceTest, SwapFromDiskAtABoundaryMatchesTheReference) {
   for (std::size_t round = 0; round < rounds; ++round) {
     if (round == swap_round) {
       for (const SessionHandle& handle : handles) {
-        service.swap_model(handle, registry, "fleet");
+        service.swap_model(handle, registry.open("fleet"));
       }
     }
     for (std::size_t s = 0; s < k_sessions; ++s) {
@@ -402,7 +391,7 @@ TEST_F(RegistryServiceTest, HotSwapFromDiskUnderContinuousIngestAndRedeploy) {
   // thread relentlessly deploys from disk (through two registries with
   // independent caches over the same directory, and back to the fleet
   // model), and a trainer thread keeps replacing the artifact file
-  // (atomic rename) and refresh()ing both registries.
+  // (atomic rename), which every open() re-stats.
   // Every artifact written holds the same fleet forest, so whatever
   // interleaving of saves, remaps, and swaps lands, the detections must
   // equal the plain single-Engine reference — and TSan proves the
@@ -430,10 +419,10 @@ TEST_F(RegistryServiceTest, HotSwapFromDiskUnderContinuousIngestAndRedeploy) {
       for (const SessionHandle& handle : handles) {
         switch (next++ % 3) {
           case 0:
-            service.swap_model(handle, registry, "fleet");
+            service.swap_model(handle, registry.open("fleet"));
             break;
           case 1:
-            service.swap_model(handle, other_registry, "fleet");
+            service.swap_model(handle, other_registry.open("fleet"));
             break;
           default:
             service.swap_model(handle, nullptr);
@@ -445,8 +434,6 @@ TEST_F(RegistryServiceTest, HotSwapFromDiskUnderContinuousIngestAndRedeploy) {
   std::thread trainer([&] {
     while (!stop.load()) {
       ml::save_artifact(*directory_ + "/fleet.eslm", *fleet_artifact);
-      registry.refresh();
-      other_registry.refresh();
       std::this_thread::yield();
     }
   });

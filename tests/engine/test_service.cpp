@@ -55,6 +55,49 @@ WindowOutcome outcome_of(const Detection& d) {
   return {d.window_index, d.window_start_s, d.label, d.screened_out, d.alarm};
 }
 
+/// Wedges a shard worker: the first delivery carrying `gated_session`
+/// blocks inside the sink until release().
+class GateSink final : public DetectionSink {
+ public:
+  explicit GateSink(std::uint64_t gated_session)
+      : gated_session_(gated_session) {}
+  void on_detections(std::span<const Detection> detections) override {
+    bool gate = false;
+    for (const Detection& d : detections) {
+      gate |= d.session_id == gated_session_;
+    }
+    if (!gate) {
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (gated_once_) {
+      return;  // only the first delivery blocks
+    }
+    gated_once_ = true;
+    blocked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+    blocked_ = false;
+  }
+  void await_blocked() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return blocked_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const std::uint64_t gated_session_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool gated_once_ = false;
+  bool blocked_ = false;
+  bool released_ = false;
+};
+
 /// Shared fixture: fleet detector + a small mixed workload (seizure and
 /// background records truncated to `k_stream_seconds` per session).
 class ServiceTest : public ::testing::Test {
@@ -905,47 +948,6 @@ TEST_F(ServiceTest, ScopedFlushOnOneShardDoesNotWaitForABlockedShard) {
   // The serving-tier independence property: a flush covering only shard
   // B's sessions completes while shard A's worker is wedged mid-delivery,
   // and A's own async flush stays pending until its worker resumes.
-  class GateSink final : public DetectionSink {
-   public:
-    explicit GateSink(std::uint64_t gated_session)
-        : gated_session_(gated_session) {}
-    void on_detections(std::span<const Detection> detections) override {
-      bool gate = false;
-      for (const Detection& d : detections) {
-        gate |= d.session_id == gated_session_;
-      }
-      if (!gate) {
-        return;
-      }
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (gated_once_) {
-        return;  // only the first delivery blocks
-      }
-      gated_once_ = true;
-      blocked_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [&] { return released_; });
-      blocked_ = false;
-    }
-    void await_blocked() {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] { return blocked_; });
-    }
-    void release() {
-      std::lock_guard<std::mutex> lock(mutex_);
-      released_ = true;
-      cv_.notify_all();
-    }
-
-   private:
-    const std::uint64_t gated_session_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool gated_once_ = false;
-    bool blocked_ = false;
-    bool released_ = false;
-  };
-
   ServiceConfig config;
   config.shards = 2;
   DetectionService service(*fleet_, config,
@@ -988,6 +990,139 @@ TEST_F(ServiceTest, ScopedFlushOnOneShardDoesNotWaitForABlockedShard) {
   }
   service.flush();
   service.stop();
+}
+
+TEST_F(ServiceTest, FlushRethrowsAWorkerErrorOnceAfterTheDrain) {
+  // A sink that throws on its first delivery: the worker captures the
+  // error, still completes the flush, and flush() rethrows it only after
+  // every chunk ingested before the call was processed.
+  class ThrowOnceSink final : public DetectionSink {
+   public:
+    void on_detections(std::span<const Detection> detections) override {
+      if (!thrown_.exchange(true)) {
+        throw DataError("sink failed");
+      }
+      delivered_.fetch_add(detections.size());
+    }
+    std::size_t delivered() const { return delivered_.load(); }
+
+   private:
+    std::atomic<bool> thrown_{false};
+    std::atomic<std::size_t> delivered_{0};
+  };
+
+  constexpr std::size_t k_chunks = 4;
+  Engine reference(*fleet_);
+  const std::uint64_t reference_id = reference.add_session();
+  for (std::size_t i = 0; i < k_chunks; ++i) {
+    reference.ingest(reference_id,
+                     chunk_views(*background_record_, i * k_chunk, k_chunk));
+  }
+  const std::size_t expected_windows = reference.poll().size();
+  ASSERT_GT(expected_windows, 0u);
+
+  DetectionService service(*fleet_, {},
+                           std::make_unique<ThreadPoolBackend>());
+  ThrowOnceSink sink;
+  service.set_detection_sink(&sink);
+  const SessionHandle handle = service.create_session();
+  for (std::size_t i = 0; i < k_chunks; ++i) {
+    service.ingest(handle,
+                   chunk_views(*background_record_, i * k_chunk, k_chunk));
+  }
+  EXPECT_THROW(service.flush(), DataError);
+  EXPECT_EQ(service.stats().windows_classified, expected_windows);
+
+  // The error surfaced once; the next barrier is clean.
+  EXPECT_NO_THROW(service.flush());
+
+  // Later windows still reach the sink.
+  const std::size_t before = sink.delivered();
+  service.ingest(handle, chunk_views(*background_record_,
+                                     k_chunks * k_chunk, k_chunk));
+  EXPECT_NO_THROW(service.flush());
+  EXPECT_GT(sink.delivered(), before);
+  EXPECT_NO_THROW(service.stop());
+}
+
+TEST_F(ServiceTest, AsyncFlushDoneThatThrowsSurfacesAtTheNextFlush) {
+  // `done` runs on a shard worker. If it throws, the worker records the
+  // error like any other and keeps serving.
+  DetectionService service(*fleet_, {},
+                           std::make_unique<ThreadPoolBackend>());
+  const SessionHandle handle = service.create_session();
+  service.ingest(handle, chunk_views(*background_record_, 0, k_chunk));
+  service.flush_sessions_async({&handle, 1},
+                               [] { throw DataError("done failed"); });
+  EXPECT_THROW(service.flush(), DataError);
+  EXPECT_NO_THROW(service.flush());
+
+  const std::uint64_t before = service.stats().windows_classified;
+  service.ingest(handle, chunk_views(*background_record_, k_chunk, k_chunk));
+  EXPECT_NO_THROW(service.flush());
+  EXPECT_GT(service.stats().windows_classified, before);
+}
+
+TEST_F(ServiceTest, AsyncFlushDoesNotBlockOnTheFullQueueOfAWedgedShard) {
+  // The ShardServer loop registers its kFlush barriers itself, so
+  // flush_sessions_async must return at once even when the covered
+  // shard's worker is wedged and its queue is full.
+  ThreadPoolConfig pool;
+  pool.queue_capacity = 1;
+  DetectionService service(*fleet_, {},
+                           std::make_unique<ThreadPoolBackend>(pool));
+  const SessionHandle handle = service.create_session();
+  GateSink sink(handle.value);
+  service.set_detection_sink(&sink);
+
+  service.ingest(handle, chunk_views(*background_record_, 0, k_chunk));
+  sink.await_blocked();
+  // The worker holds the first chunk; this one fills the queue.
+  service.ingest(handle, chunk_views(*background_record_, k_chunk, k_chunk));
+
+  std::atomic<bool> released{false};
+  std::atomic<int> done_calls{0};
+  std::atomic<bool> done_after_release{false};
+  // Would deadlock (-> ctest timeout) if the barrier waited for room.
+  service.flush_sessions_async({&handle, 1}, [&] {
+    done_after_release.store(released.load());
+    done_calls.fetch_add(1);
+  });
+  EXPECT_EQ(done_calls.load(), 0);
+
+  released.store(true);
+  sink.release();
+  while (done_calls.load() == 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(done_after_release.load());
+  service.stop();
+  EXPECT_EQ(done_calls.load(), 1);
+}
+
+TEST_F(ServiceTest, StopRunsAnOutstandingAsyncFlushDoneExactlyOnce) {
+  DetectionService service(*fleet_, {},
+                           std::make_unique<ThreadPoolBackend>());
+  const SessionHandle handle = service.create_session();
+  GateSink sink(handle.value);
+  service.set_detection_sink(&sink);
+
+  service.ingest(handle, chunk_views(*background_record_, 0, k_chunk));
+  sink.await_blocked();
+  std::atomic<int> done_calls{0};
+  service.flush_sessions_async({&handle, 1}, [&] { done_calls.fetch_add(1); });
+  EXPECT_EQ(done_calls.load(), 0);
+
+  // stop() drains, so the worker must be released while it waits.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sink.release();
+  });
+  service.stop();
+  releaser.join();
+  EXPECT_EQ(done_calls.load(), 1);
+  service.stop();  // idempotent: nothing runs twice
+  EXPECT_EQ(done_calls.load(), 1);
 }
 
 }  // namespace

@@ -396,9 +396,9 @@ TEST_F(NetLoopback, ServerErrorsComeBackTypedAndTheConnectionSurvives) {
       },
       InvalidArgument);
 
-  // A label trigger without self-learning attached fails server-side;
-  // the error crosses the wire instead of killing the conversation.
-  EXPECT_THROW(client.label(1), Error);
+  // A model swap on a server with no registry fails server-side; the
+  // error crosses the wire instead of killing the conversation.
+  EXPECT_THROW(client.swap_model(1, "patient-4"), DataError);
 
   // Still alive for a clean goodbye.
   std::vector<Detection> out;

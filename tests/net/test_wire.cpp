@@ -36,6 +36,14 @@ TEST(WireValidate, AcceptsAFreshHeaderAndRejectsEveryTamperedField) {
   rejects([](FrameHeader& h) { h.real_bytes = sizeof(Real) / 2; });
   rejects([](FrameHeader& h) { h.type = 0; });                // below range
   rejects([](FrameHeader& h) { h.type = 200; });              // above range
+  rejects([](FrameHeader& h) {  // retired label press, sized as it was
+    h.type = 6;
+    h.payload_bytes = 0;
+  });
+  rejects([](FrameHeader& h) {  // retired label ack, sized as it was
+    h.type = 7;
+    h.payload_bytes = 16;
+  });
   rejects([](FrameHeader& h) {                                // oversized
     h.payload_bytes = static_cast<std::uint32_t>(k_max_payload_bytes) + 8;
   });
