@@ -14,8 +14,8 @@
 // power-of-two FFT to the scalar fft_radix2_inplace reference.
 //
 // Ownership rules (see README "Serving at scale"):
-//  * one Workspace per stream: StreamingExtractor (and therefore every
-//    engine::PatientSession) owns one, so shard workers never share one;
+//  * one Workspace per stream: every engine::PatientSession owns one, so
+//    shard workers never share one;
 //  * a Workspace is NOT thread-safe — never call workspace functions on
 //    the same instance from two threads concurrently;
 //  * result slots (psd, decomposition, energy, spectrum) stay valid until

@@ -140,12 +140,6 @@ void Engine::classify_group(const ml::InferenceModel* model) {
   }
 }
 
-std::vector<Detection> Engine::poll() {
-  std::vector<Detection> out;
-  poll_into(out);
-  return out;
-}
-
 void Engine::poll_into(std::vector<Detection>& out) {
   ++stats_.polls;
 

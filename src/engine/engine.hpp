@@ -114,13 +114,10 @@ class Engine {
                      const std::vector<std::span<const Real>>& chunk);
 
   /// Drains every session's pending windows through (screen ->) batched
-  /// inference -> alarm post-processing. Detections are returned grouped
-  /// by session (ascending id), in window order within a session. The
-  /// alarm hook fires for each detection that completed an alarm run.
-  std::vector<Detection> poll();
-  /// Allocation-friendly poll: appends the detections onto `out` instead
-  /// of returning a fresh vector (execution backends reuse one buffer
-  /// across polls). Semantics are otherwise identical to poll().
+  /// inference -> alarm post-processing, appending the detections onto
+  /// `out` (execution backends reuse one buffer across polls), grouped by
+  /// session (ascending id), in window order within a session. The alarm
+  /// hook fires for each detection that completed an alarm run.
   void poll_into(std::vector<Detection>& out);
 
   /// Attaches a personal self-learning pipeline to a session (enables
@@ -151,7 +148,7 @@ class Engine {
   std::shared_ptr<const ml::InferenceModel> session_model(
       std::uint64_t id) const;
 
-  /// Called for every detection that raised an alarm (during poll()).
+  /// Called for every detection that raised an alarm (during poll_into()).
   void set_alarm_hook(std::function<void(const Detection&)> hook) {
     alarm_hook_ = std::move(hook);
   }
@@ -204,7 +201,7 @@ class Engine {
   std::function<void(std::uint64_t, const signal::Interval&)> label_hook_;
   EngineStats stats_;
 
-  // Reused poll() scratch.
+  // Reused poll_into() scratch.
   Matrix batch_;
   std::vector<std::pair<std::size_t, std::size_t>> batch_src_;  // slot, row
   std::vector<std::vector<int>> labels_;  // per slot, per pending row

@@ -1,17 +1,20 @@
 // One monitored patient inside the streaming engine.
 //
 // A PatientSession ingests raw EEG in arbitrary-size chunks (from a radio
-// packet, a file reader, a socket — the engine does not care), runs the
-// incremental sliding-window extractor over per-channel ring buffers, and
-// parks the resulting raw e-Glass feature rows in a pending matrix that
-// the Engine drains into batched inference. The session's streaming
-// extractor owns one dsp::Workspace, so a warm ingest -> extract ->
-// pending -> clear_pending cycle performs zero heap allocations end to
-// end (see the engine ZeroAllocation suite); sessions never share
-// scratch, which keeps shard workers data-race-free by construction. It also owns the per-patient
-// post-processing state (consecutive-positive alarm runs) and, optionally,
-// a retrospective raw-signal history ring so a patient button press can
-// reconstruct the "last hour of signal" for a-posteriori labeling.
+// packet, a file reader, a socket — the engine does not care) into one
+// sample ring per channel. The ring serves both of the session's uses of
+// the stream: every time a 4 s window completes, its newest
+// window_length samples are copied out and extracted into a raw e-Glass
+// feature row, parked in a pending matrix that the Engine drains into
+// batched inference; and, when history_seconds > 0, the whole ring is
+// the retrospective "last hour of signal" a patient button press
+// relabels a posteriori. Each sample is copied into the ring once. The
+// session owns its window scratch and one dsp::Workspace, so a warm
+// ingest -> extract -> pending -> clear_pending cycle performs zero heap
+// allocations end to end (see the engine ZeroAllocation suite);
+// sessions never share scratch, which keeps shard workers
+// data-race-free by construction. It also owns the per-patient
+// post-processing state (consecutive-positive alarm runs).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +22,8 @@
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "features/streaming.hpp"
+#include "dsp/workspace.hpp"
+#include "features/extractor.hpp"
 #include "signal/eeg_record.hpp"
 #include "signal/sample_ring.hpp"
 
@@ -54,20 +58,27 @@ struct SessionConfig {
 void validate(const SessionConfig& config);
 
 /// Chunked ingest -> incremental windowing -> pending feature rows.
-class PatientSession final : private features::WindowSink {
+class PatientSession final {
  public:
   /// `extractor` must outlive the session (the engine owns one shared
-  /// extractor; sessions borrow it).
+  /// extractor; sessions borrow it). Throws InvalidArgument for a config
+  /// validate() rejects, a window shorter than the extractor's
+  /// min_window_length(), or a history shorter than one window.
   PatientSession(std::uint64_t id,
                  const features::WindowFeatureExtractor& extractor,
                  const SessionConfig& config);
+
+  // Non-copyable: views_ aliases this object's own window scratch.
+  PatientSession(const PatientSession&) = delete;
+  PatientSession& operator=(const PatientSession&) = delete;
 
   std::uint64_t id() const { return id_; }
   const SessionConfig& config() const { return config_; }
 
   /// Feeds one chunk (one span per channel, equal lengths, any size).
   /// Completed windows accumulate as rows of pending(). Returns the
-  /// number of windows completed by this chunk.
+  /// number of windows completed by this chunk. A rejected chunk leaves
+  /// the session unchanged.
   std::size_t ingest(const std::vector<std::span<const Real>>& chunk);
 
   /// Raw (unscaled) feature rows awaiting inference, in window order.
@@ -81,11 +92,12 @@ class PatientSession final : private features::WindowSink {
   void clear_pending();
 
   /// Windows emitted since the stream started.
-  std::size_t windows_emitted() const { return streaming_.emitted(); }
-  /// Stream time (seconds) of the start of window `window_index`.
+  std::size_t windows_emitted() const { return emitted_; }
+  /// Stream time (seconds) of the start of window `window_index`, which
+  /// must have been emitted.
   Seconds window_start_s(std::size_t window_index) const;
-  /// Samples currently buffered toward the next window.
-  std::size_t buffered_samples() const { return streaming_.buffered(); }
+  /// Samples pushed since the start of the next window.
+  std::size_t buffered_samples() const { return pushed_ - emitted_ * hop_; }
 
   /// Feeds one classified window into the alarm post-processing, in
   /// window order. Returns true when this window completes a run of
@@ -94,8 +106,8 @@ class PatientSession final : private features::WindowSink {
   /// Alarms raised so far.
   std::size_t alarms() const { return alarms_; }
 
-  bool history_enabled() const { return !history_.empty(); }
-  /// Seconds of signal currently held in the history ring.
+  bool history_enabled() const { return config_.history_seconds > 0.0; }
+  /// Seconds of signal the history holds (0 when it is disabled).
   Seconds history_buffered_s() const;
   /// Materializes the retrospective history as an EegRecord (wearable
   /// montage labels) for a-posteriori labeling. Requires history_enabled()
@@ -103,15 +115,23 @@ class PatientSession final : private features::WindowSink {
   signal::EegRecord history_record(const std::string& record_id = "") const;
 
  private:
-  void on_window(std::size_t index, Seconds start_s,
-                 std::span<const Real> row) override;
-
+  const features::WindowFeatureExtractor& extractor_;
   std::uint64_t id_;
   SessionConfig config_;
-  features::StreamingExtractor streaming_;
+  std::size_t window_length_;
+  std::size_t hop_;
+  /// One per channel, max(window_length_, history samples) long.
+  std::vector<signal::SampleRing> rings_;
+  std::size_t pushed_ = 0;   // samples per channel since the stream began
+  std::size_t emitted_ = 0;  // windows extracted since the stream began
+  // Reused scratch: the newest window of each channel, views over it,
+  // the feature row, and the DSP workspace handed to the extractor.
+  std::vector<RealVector> window_scratch_;
+  std::vector<std::span<const Real>> views_;
+  RealVector row_scratch_;
+  dsp::Workspace workspace_;
   Matrix pending_;
   std::vector<std::size_t> pending_indices_;
-  std::vector<signal::SampleRing> history_;  // empty when disabled
   std::size_t alarm_run_ = 0;
   std::size_t alarms_ = 0;
 };

@@ -1,7 +1,7 @@
 // Sharded multi-patient detection service.
 //
 // The Engine (engine.hpp) is deliberately single-threaded: one batched
-// inference pass over all of its sessions per poll(). DetectionService is
+// inference pass over all of its sessions per poll_into(). DetectionService is
 // the fleet-scale facade above it — it owns N shards, each wrapping one
 // Engine, hash-partitions sessions across them, and delegates execution
 // to a pluggable ExecutionBackend (backend.hpp): InlineBackend keeps
@@ -13,8 +13,8 @@
 // Sessions are addressed by an opaque SessionHandle (shard index +
 // engine-local id packed into one uint64). Detections are delivered
 // through a DetectionSink — either a caller-provided sink or the
-// built-in collector drained with drain() — instead of a poll() return
-// value the caller must pump.
+// built-in collector drained with drain() — instead of a detection
+// vector the caller must pump.
 //
 // Parity contract (tests/engine/test_service.cpp): for the same
 // per-session input streams, any backend at any shard count produces

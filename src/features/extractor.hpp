@@ -35,8 +35,7 @@ class WindowFeatureExtractor {
   virtual std::size_t required_channels() const = 0;
 
   /// Shortest per-channel window (in samples) the extractor can process.
-  /// StreamingExtractor, and therefore every engine::PatientSession,
-  /// rejects a shorter window geometry up front.
+  /// engine::PatientSession rejects a shorter window geometry up front.
   virtual std::size_t min_window_length() const { return 1; }
 
   /// Extracts features from one multichannel window into `out` (cleared,

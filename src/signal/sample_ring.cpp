@@ -14,7 +14,6 @@ void SampleRing::push(std::span<const Real> samples) {
   const std::size_t cap = data_.size();
   // A block longer than the ring reduces to its trailing `cap` samples.
   if (samples.size() > cap) {
-    dropped_ += size_ + samples.size() - cap;
     head_ = 0;
     size_ = cap;
     std::copy(samples.end() - static_cast<std::ptrdiff_t>(cap), samples.end(),
@@ -33,30 +32,22 @@ void SampleRing::push(std::span<const Real> samples) {
   const std::size_t overwritten = size_ + count > cap ? size_ + count - cap : 0;
   head_ = (head_ + overwritten) % cap;
   size_ += count - overwritten;
-  dropped_ += overwritten;
 }
 
-void SampleRing::copy_front(std::size_t count, std::span<Real> out) const {
-  expects(count <= size_, "SampleRing::copy_front: not enough samples");
-  expects(out.size() >= count, "SampleRing::copy_front: output too small");
-  const std::size_t cap = data_.size();
-  const std::size_t first = std::min(count, cap - head_);
-  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(head_), first,
+void SampleRing::copy_back(std::size_t count, std::span<Real> out) const {
+  // An oversized count wraps the start index; copy_from rejects it.
+  copy_from((head_ + size_ - count) % data_.size(), count, out);
+}
+
+void SampleRing::copy_from(std::size_t start, std::size_t count,
+                           std::span<Real> out) const {
+  expects(count <= size_, "SampleRing::copy: not enough samples");
+  expects(out.size() >= count, "SampleRing::copy: output too small");
+  const std::size_t first = std::min(count, data_.size() - start);
+  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(start), first,
               out.begin());
   std::copy_n(data_.begin(), count - first,
               out.begin() + static_cast<std::ptrdiff_t>(first));
-}
-
-void SampleRing::drop_front(std::size_t count) {
-  expects(count <= size_, "SampleRing::drop_front: not enough samples");
-  head_ = (head_ + count) % data_.size();
-  size_ -= count;
-}
-
-void SampleRing::clear() {
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
 }
 
 }  // namespace esl::signal

@@ -4,6 +4,20 @@
 
 namespace esl::signal {
 
+WindowGeometry window_geometry(Real sample_rate_hz, Real window_seconds,
+                               Real overlap) {
+  expects(sample_rate_hz > 0.0,
+          "window_geometry: sample rate must be positive");
+  expects(window_seconds > 0.0, "window_geometry: window must be positive");
+  expects(overlap >= 0.0 && overlap < 1.0,
+          "window_geometry: overlap must lie in [0, 1)");
+  const auto length =
+      static_cast<std::size_t>(std::lround(window_seconds * sample_rate_hz));
+  const auto hop = static_cast<std::size_t>(
+      std::lround(window_seconds * (1.0 - overlap) * sample_rate_hz));
+  return {length, hop == 0 ? 1 : hop};
+}
+
 SlidingWindows::SlidingWindows(std::size_t signal_length,
                                std::size_t window_length, std::size_t hop)
     : signal_length_(signal_length),
@@ -19,15 +33,9 @@ SlidingWindows::SlidingWindows(std::size_t signal_length,
 SlidingWindows SlidingWindows::paper_plan(std::size_t signal_length,
                                           Real sample_rate_hz,
                                           Real window_seconds, Real overlap) {
-  expects(sample_rate_hz > 0.0, "SlidingWindows: sample rate must be positive");
-  expects(window_seconds > 0.0, "SlidingWindows: window must be positive");
-  expects(overlap >= 0.0 && overlap < 1.0,
-          "SlidingWindows: overlap must lie in [0, 1)");
-  const auto window_length =
-      static_cast<std::size_t>(std::lround(window_seconds * sample_rate_hz));
-  const auto hop = static_cast<std::size_t>(
-      std::lround(window_seconds * (1.0 - overlap) * sample_rate_hz));
-  return SlidingWindows(signal_length, window_length, hop == 0 ? 1 : hop);
+  const WindowGeometry geometry =
+      window_geometry(sample_rate_hz, window_seconds, overlap);
+  return SlidingWindows(signal_length, geometry.length, geometry.hop);
 }
 
 std::span<const Real> SlidingWindows::view(std::span<const Real> signal,

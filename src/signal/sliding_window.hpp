@@ -1,7 +1,10 @@
 // Sliding-window segmentation.
 //
 // The paper extracts features from 4-second windows with 75 % overlap,
-// i.e. a 1-second hop (§III-A). This helper enumerates the window start
+// i.e. a 1-second hop (§III-A). window_geometry() turns seconds into
+// samples; the batch plan below and every engine::PatientSession stream
+// take their window length and hop from it, so the two paths cannot
+// round differently. SlidingWindows enumerates the window start
 // positions and exposes spans over the underlying signal.
 #pragma once
 
@@ -12,6 +15,18 @@
 #include "common/types.hpp"
 
 namespace esl::signal {
+
+/// Window length and hop in samples.
+struct WindowGeometry {
+  std::size_t length;
+  std::size_t hop;
+};
+
+/// lround(window_seconds * rate) and lround(window_seconds * (1 - overlap)
+/// * rate), with a hop of 0 raised to 1. Throws InvalidArgument unless
+/// the rate and window are positive and overlap lies in [0, 1).
+WindowGeometry window_geometry(Real sample_rate_hz, Real window_seconds,
+                               Real overlap);
 
 /// Window plan over a signal of `signal_length` samples.
 class SlidingWindows {

@@ -1,33 +1,18 @@
 // Cross-module integration tests: the full §III pipeline assembled from
-// its public pieces, including the streaming (edge) feature path.
+// its public pieces, including the streaming (edge) feature path of
+// engine::PatientSession.
 #include <gtest/gtest.h>
 
 #include "core/aposteriori.hpp"
 #include "core/deviation_metric.hpp"
 #include "core/event_metrics.hpp"
 #include "core/realtime_detector.hpp"
+#include "engine/patient_session.hpp"
 #include "features/paper_features.hpp"
-#include "features/streaming.hpp"
 #include "sim/cohort.hpp"
 
 namespace esl::core {
 namespace {
-
-/// Appends each streamed window straight into a WindowedFeatures, the
-/// batch path's result type.
-class AppendToFeatures final : public features::WindowSink {
- public:
-  explicit AppendToFeatures(features::WindowedFeatures& out) : out_(out) {}
-
-  void on_window(std::size_t /*index*/, Seconds start_s,
-                 std::span<const Real> row) override {
-    out_.features.append_row(row);
-    out_.window_start_s.push_back(start_s);
-  }
-
- private:
-  features::WindowedFeatures& out_;
-};
 
 class PipelineIntegrationTest : public ::testing::Test {
  protected:
@@ -59,11 +44,9 @@ TEST_F(PipelineIntegrationTest, StreamingPathYieldsIdenticalLabel) {
       features::extract_windowed_features(*record_, extractor);
 
   // Streaming path: simulate the wearable receiving 256-sample packets.
-  features::StreamingExtractor streaming(extractor, record_->sample_rate_hz());
-  features::WindowedFeatures streamed;
-  streamed.window_seconds = 4.0;
-  streamed.hop_seconds = 1.0;
-  AppendToFeatures sink(streamed);
+  engine::SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  engine::PatientSession session(0, extractor, config);
   const std::size_t packet = 256;
   for (std::size_t pos = 0; pos < record_->length_samples(); pos += packet) {
     const std::size_t len =
@@ -73,9 +56,15 @@ TEST_F(PipelineIntegrationTest, StreamingPathYieldsIdenticalLabel) {
       block.push_back(
           std::span<const Real>(record_->channel(c).samples).subspan(pos, len));
     }
-    streaming.push(block, sink);
+    session.ingest(block);
+  }
+  features::WindowedFeatures streamed;
+  streamed.features = session.pending();
+  for (const std::size_t w : session.pending_window_indices()) {
+    streamed.window_start_s.push_back(session.window_start_s(w));
   }
   ASSERT_EQ(streamed.count(), batch.count());
+  EXPECT_EQ(streamed.features, batch.features);  // bit-for-bit
 
   // Both feature paths must produce the same a-posteriori label.
   const Seconds w = simulator_->average_seizure_duration(8);

@@ -30,7 +30,9 @@ std::vector<Detection> stream_and_poll(Engine& engine, std::uint64_t id,
   for (std::size_t offset = 0; offset < length; offset += chunk) {
     const std::size_t n = std::min(chunk, length - offset);
     engine.ingest(id, chunk_views(record, offset, n));
-    for (const Detection& d : engine.poll()) {
+    std::vector<Detection> detections;
+    engine.poll_into(detections);
+    for (const Detection& d : detections) {
       if (d.session_id == id) {
         mine.push_back(d);
       }
@@ -115,7 +117,9 @@ TEST_F(EngineTest, BatchedDetectionsMatchOfflineDetectorBitForBit) {
       const std::size_t n = std::min(chunk, length - offset);
       engine.ingest(ids[s], chunk_views(*records[s], offset, n));
     }
-    for (const Detection& d : engine.poll()) {
+    std::vector<Detection> detections;
+    engine.poll_into(detections);
+    for (const Detection& d : detections) {
       streamed[d.session_id == a ? 0 : 1].push_back(d.label);
     }
   }
@@ -296,7 +300,8 @@ TEST_F(EngineTest, MixedFleetAndPersonalModelsBatchSeparately) {
   const std::size_t batches_before = engine.stats().batches;
   engine.ingest(personal, chunk_views(*background_record_, 0, 8192));
   engine.ingest(shared, chunk_views(*background_record_, 0, 8192));
-  const std::vector<Detection> detections = engine.poll();
+  std::vector<Detection> detections;
+  engine.poll_into(detections);
   ASSERT_GT(detections.size(), 0u);
   EXPECT_EQ(engine.stats().batches, batches_before + 2);
 
@@ -340,7 +345,9 @@ TEST_F(EngineTest, SwapModelDeploysCompiledArtifactBitForBit) {
     }
     const std::size_t n = std::min(chunk, length - offset);
     engine.ingest(b, chunk_views(*seizure_record_, offset, n));
-    for (const Detection& d : engine.poll()) {
+    std::vector<Detection> detections;
+    engine.poll_into(detections);
+    for (const Detection& d : detections) {
       actual.push_back(d);
     }
   }
@@ -358,17 +365,18 @@ TEST_F(EngineTest, SwapModelDeploysCompiledArtifactBitForBit) {
 TEST_F(EngineTest, SwapModelOverrideWinsAndClearsBackToAutomatic) {
   Engine engine(*fleet_);
   const std::uint64_t id = engine.add_session();
-  engine.poll();
+  std::vector<Detection> detections;
+  engine.poll_into(detections);
   EXPECT_EQ(engine.session_model(id), (*fleet_)->model());  // automatic
 
   const std::shared_ptr<const ml::CompiledForest> compiled =
       (*fleet_)->compile();
   engine.swap_model(id, compiled);
-  engine.poll();
+  engine.poll_into(detections);
   EXPECT_EQ(engine.session_model(id), compiled);  // override wins
 
   engine.swap_model(id, nullptr);  // clear -> automatic choice again
-  engine.poll();
+  engine.poll_into(detections);
   EXPECT_EQ(engine.session_model(id), (*fleet_)->model());
 
   EXPECT_THROW(engine.swap_model(99, compiled), InvalidArgument);
@@ -390,11 +398,12 @@ TEST_F(EngineTest, PatientTriggerClearsSwappedOverride) {
   const std::shared_ptr<const ml::CompiledForest> pinned =
       (*fleet_)->compile();
   engine.swap_model(id, pinned);
-  engine.poll();
+  std::vector<Detection> detections;
+  engine.poll_into(detections);
   EXPECT_EQ(engine.session_model(id), pinned);
 
   engine.patient_trigger(id);
-  engine.poll();
+  engine.poll_into(detections);
   EXPECT_NE(engine.session_model(id), pinned);   // override dropped
   ASSERT_NE(engine.session_model(id), nullptr);  // personal model active
   EXPECT_STREQ(engine.session_model(id)->name(), "forest");

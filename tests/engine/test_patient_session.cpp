@@ -84,6 +84,67 @@ TEST_F(PatientSessionTest, SingleSampleChunksMatchBatch) {
   EXPECT_EQ(session.pending(), batch.features);
 }
 
+TEST_F(PatientSessionTest, WindowsCompleteAtTheirLastSample) {
+  // No row before the first full window; its last sample completes it;
+  // one large block then completes every remaining window at once.
+  const features::EglassFeatureExtractor extractor(2);
+  const features::WindowedFeatures batch =
+      features::extract_windowed_features(*record_, extractor);
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  PatientSession session(10, extractor, config);
+
+  EXPECT_EQ(session.ingest(chunk_views(*record_, 0, 1023)), 0u);
+  EXPECT_TRUE(session.pending().empty());
+  EXPECT_EQ(session.windows_emitted(), 0u);
+  EXPECT_EQ(session.buffered_samples(), 1023u);
+  EXPECT_THROW(session.window_start_s(0), InvalidArgument);
+
+  EXPECT_EQ(session.ingest(chunk_views(*record_, 1023, 1)), 1u);
+  EXPECT_EQ(session.windows_emitted(), 1u);
+  EXPECT_EQ(session.buffered_samples(), 1024u - 256u);
+  EXPECT_DOUBLE_EQ(session.window_start_s(0), 0.0);
+  EXPECT_THROW(session.window_start_s(1), InvalidArgument);
+
+  const std::size_t rest = record_->length_samples() - 1024;
+  EXPECT_EQ(session.ingest(chunk_views(*record_, 1024, rest)),
+            batch.count() - 1);
+  EXPECT_EQ(session.pending(), batch.features);
+}
+
+TEST_F(PatientSessionTest, RejectedChunkLeavesSessionUnchanged) {
+  const features::EglassFeatureExtractor extractor(2);
+  const features::WindowedFeatures batch =
+      features::extract_windowed_features(*record_, extractor);
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  config.history_seconds = 20.0;
+  PatientSession session(11, extractor, config);
+  const std::size_t half = record_->length_samples() / 2;
+  session.ingest(chunk_views(*record_, 0, half));
+  const std::size_t emitted = session.windows_emitted();
+  const std::size_t buffered = session.buffered_samples();
+  const signal::EegRecord history = session.history_record();
+
+  const auto next = chunk_views(*record_, half, 100);
+  const std::vector<std::span<const Real>> too_few = {next[0]};
+  EXPECT_THROW(session.ingest(too_few), InvalidArgument);
+  const std::vector<std::span<const Real>> uneven = {next[0],
+                                                     next[1].first(99)};
+  EXPECT_THROW(session.ingest(uneven), InvalidArgument);
+
+  EXPECT_EQ(session.windows_emitted(), emitted);
+  EXPECT_EQ(session.buffered_samples(), buffered);
+  EXPECT_EQ(session.pending().rows(), emitted);
+  const signal::EegRecord after = session.history_record();
+  for (std::size_t c = 0; c < history.channel_count(); ++c) {
+    EXPECT_EQ(after.channel(c).samples, history.channel(c).samples);
+  }
+  // The stream goes on as if the rejected chunks never arrived.
+  session.ingest(chunk_views(*record_, half, record_->length_samples() - half));
+  EXPECT_EQ(session.pending(), batch.features);
+}
+
 TEST_F(PatientSessionTest, ClearPendingKeepsGlobalWindowIndices) {
   const features::EglassFeatureExtractor extractor(2);
   SessionConfig config;
@@ -176,6 +237,34 @@ TEST_F(PatientSessionTest, HistoryRingWrapsAroundOnLongStreams) {
   }
 }
 
+TEST_F(PatientSessionTest, WindowsReadAcrossTheHistoryRingWrap) {
+  // The windows are the newest samples of the ring that also holds the
+  // history. 5.5 s is not a multiple of the 1 s hop, and the 60 s record
+  // wraps the 5.5 s ring ten times, so many windows straddle the end of
+  // its storage. Rows and history must not notice.
+  const features::EglassFeatureExtractor extractor(2);
+  const features::WindowedFeatures batch =
+      features::extract_windowed_features(*record_, extractor);
+  SessionConfig config;
+  config.sample_rate_hz = record_->sample_rate_hz();
+  config.history_seconds = 5.5;
+  PatientSession session(13, extractor, config);
+  stream(session, *record_, 997);
+
+  ASSERT_EQ(session.pending().rows(), batch.count());
+  EXPECT_EQ(session.pending(), batch.features);  // bit-for-bit
+  const signal::EegRecord history = session.history_record();
+  ASSERT_EQ(history.length_samples(), 1408u);  // lround(5.5 * 256)
+  const std::size_t offset = record_->length_samples() - 1408;
+  for (std::size_t c = 0; c < history.channel_count(); ++c) {
+    for (std::size_t i = 0; i < 1408; ++i) {
+      ASSERT_EQ(history.channel(c).samples[i],
+                record_->channel(c).samples[offset + i])
+          << "channel " << c << " sample " << i;
+    }
+  }
+}
+
 TEST_F(PatientSessionTest, HistoryRecordAtExactlyOneWindowBoundary) {
   // history_seconds == window_seconds is the smallest legal ring. One
   // sample short of a window must still throw; the exact window length
@@ -225,6 +314,15 @@ TEST_F(PatientSessionTest, RejectsInvalidStreamGeometry) {
   bad = SessionConfig{};
   bad.history_seconds = -1.0;
   EXPECT_THROW(PatientSession(9, extractor, bad), InvalidArgument);
+  // Shorter than the extractor's minimum window: 0.25 s at 256 Hz is 64
+  // samples, one short of the 7-level periodic DWT's 65.
+  ASSERT_EQ(extractor.min_window_length(), 65u);
+  bad = SessionConfig{};
+  bad.window_seconds = 0.25;
+  EXPECT_THROW(PatientSession(9, extractor, bad), InvalidArgument);
+  SessionConfig shortest;
+  shortest.window_seconds = 65.0 / 256.0;
+  EXPECT_NO_THROW(PatientSession(9, extractor, shortest));
 }
 
 TEST_F(PatientSessionTest, RejectsImplausiblyLargeStreamGeometry) {

@@ -177,7 +177,9 @@ class ServiceTest : public ::testing::Test {
           engine.ingest(s, chunk_views(record, round * k_chunk, k_chunk));
         }
       }
-      for (const Detection& d : engine.poll()) {
+      std::vector<Detection> detections;
+      engine.poll_into(detections);
+      for (const Detection& d : detections) {
         outcomes[d.session_id].push_back(outcome_of(d));
       }
     }
@@ -589,7 +591,9 @@ TEST_F(ServiceTest, HotSwapMatchesSingleEngineRunsAcrossTheBoundary) {
           engine.ingest(s, chunk_views(record, round * k_chunk, k_chunk));
         }
       }
-      for (const Detection& d : engine.poll()) {
+      std::vector<Detection> detections;
+      engine.poll_into(detections);
+      for (const Detection& d : detections) {
         reference[d.session_id].push_back(outcome_of(d));
       }
     }
@@ -725,11 +729,16 @@ TEST_F(ServiceTest, SwapModelRejectsUnknownSessions) {
 }
 
 TEST_F(ServiceTest, FlushCompletesWhileProducersKeepStreaming) {
-  // flush() is a watermark barrier: it covers the chunks ingested before
-  // the call and must return even though a producer thread never stops
-  // pushing new ones behind it (a continuously-streaming radio link).
+  // flush() puts a marker into the shard queue: it covers the chunks
+  // ingested before the call and must return even though a producer
+  // thread never stops pushing new ones behind it (a continuously-
+  // streaming radio link). A two-entry queue keeps the race and bounds
+  // what each flush waits behind to two chunks, not a full default
+  // queue (which made each pass minutes long under TSan).
+  ThreadPoolConfig pool;
+  pool.queue_capacity = 2;
   DetectionService service(*fleet_, {},
-                           std::make_unique<ThreadPoolBackend>());
+                           std::make_unique<ThreadPoolBackend>(pool));
   const SessionHandle handle = service.create_session();
   const std::size_t samples = stream_samples(*background_record_);
 
@@ -1018,7 +1027,9 @@ TEST_F(ServiceTest, FlushRethrowsAWorkerErrorOnceAfterTheDrain) {
     reference.ingest(reference_id,
                      chunk_views(*background_record_, i * k_chunk, k_chunk));
   }
-  const std::size_t expected_windows = reference.poll().size();
+  std::vector<Detection> reference_detections;
+  reference.poll_into(reference_detections);
+  const std::size_t expected_windows = reference_detections.size();
   ASSERT_GT(expected_windows, 0u);
 
   DetectionService service(*fleet_, {},

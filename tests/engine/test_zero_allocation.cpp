@@ -2,9 +2,10 @@
 //
 // PR 1 made the windowing/row path allocation-free and ISSUE 4 finished
 // the job inside the DSP internals: a warm PatientSession ingest cycle —
-// ring buffering, history ring, incremental windowing, the full 108-wide
-// e-Glass feature row, pending-matrix append and clear — must perform
-// zero heap allocations. The counting operator new (test-only) proves it.
+// the per-channel sample ring that holds both the windows and the
+// history, incremental windowing, the full 108-wide e-Glass feature row,
+// pending-matrix append and clear — must perform zero heap allocations.
+// The counting operator new (test-only) proves it.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -58,6 +59,35 @@ TEST(ZeroAllocation, PatientSessionIngestCycleIsAllocationFreeWhenWarm) {
   EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
   EXPECT_EQ(completed, 16u);  // one window per 1 s chunk at 75 % overlap
   EXPECT_EQ(session.windows_emitted() - windows_before, 16u);
+}
+
+TEST(ZeroAllocation, IngestAcrossTheHistoryRingWrapIsAllocationFree) {
+  // A 5.5 s ring wraps almost three times in the measured region, and
+  // 997-sample chunks complete three or four windows each, so window
+  // reads straddle the end of the ring's storage while being counted.
+  const features::EglassFeatureExtractor extractor(2);
+  SessionConfig config;
+  config.history_seconds = 5.5;
+  PatientSession session(9, extractor, config);
+
+  const RealVector a = noise(997, 23);
+  const RealVector b = noise(997, 24);
+  const std::vector<std::span<const Real>> chunk = {a, b};
+  for (int i = 0; i < 8; ++i) {
+    session.ingest(chunk);
+    session.clear_pending();
+  }
+
+  const std::size_t windows_before = session.windows_emitted();
+  const std::size_t before = esl::testing::allocation_count();
+  for (int i = 0; i < 4; ++i) {
+    session.ingest(chunk);
+    session.clear_pending();
+  }
+  EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
+  // Windows complete at 1024 + k * 256 samples: 28 after 8 chunks of
+  // 997, 43 after 12.
+  EXPECT_EQ(session.windows_emitted() - windows_before, 15u);
 }
 
 TEST(ZeroAllocation, AlarmPostProcessingIsAllocationFree) {

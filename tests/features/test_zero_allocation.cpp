@@ -5,10 +5,11 @@
 // must perform zero heap allocations (ISSUE 4 / ROADMAP "Zero-alloc DSP
 // internals"). A counting operator new (test-only, see
 // tests/support/alloc_counter.hpp) asserts exactly that: after warm-up,
-// extract_into with a reused workspace and StreamingExtractor::push do
-// not allocate at all — for power-of-two, even and odd window lengths,
-// so both the radix-2 and Bluestein FFT paths and the odd-length DWT
-// periodization are covered.
+// extract_into with a reused workspace does not allocate at all — for
+// power-of-two, even and odd window lengths, so both the radix-2 and
+// Bluestein FFT paths and the odd-length DWT periodization are covered.
+// The streaming path around it (engine::PatientSession ingest) has its
+// own warm-cycle check in the engine ZeroAllocation suite.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -21,7 +22,6 @@
 #include "dsp/workspace.hpp"
 #include "features/eglass_features.hpp"
 #include "features/paper_features.hpp"
-#include "features/streaming.hpp"
 
 ESL_DEFINE_COUNTING_ALLOCATOR();
 
@@ -49,14 +49,6 @@ std::size_t warm_allocations(Fn&& fn, int warm_up = 3, int measured = 10) {
   }
   return esl::testing::allocation_count() - before;
 }
-
-class NullSink final : public WindowSink {
- public:
-  void on_window(std::size_t, Seconds, std::span<const Real>) override {
-    ++windows;
-  }
-  std::size_t windows = 0;
-};
 
 TEST(ZeroAllocation, EglassExtractIntoIsAllocationFreeWhenWarm) {
   const EglassFeatureExtractor extractor(2);
@@ -121,28 +113,6 @@ TEST(ZeroAllocation, ExtractIntoStaysAllocationFreeAtEverySimdLevel) {
                 0u);
     }
   }
-}
-
-TEST(ZeroAllocation, StreamingPushIsAllocationFreeWhenWarm) {
-  const EglassFeatureExtractor extractor(2);
-  StreamingExtractor streaming(extractor, 256.0);  // 4 s window, 1 s hop
-  const RealVector a = noise(256, 11);
-  const RealVector b = noise(256, 12);
-  const std::vector<std::span<const Real>> chunk = {a, b};
-  NullSink sink;
-  // Warm-up: fill the first 4 s window and emit a few hops so every ring,
-  // scratch row and workspace buffer has reached its steady-state size.
-  for (int i = 0; i < 8; ++i) {
-    streaming.push(chunk, sink);
-  }
-  const std::size_t emitted_before = sink.windows;
-  const std::size_t before = esl::testing::allocation_count();
-  for (int i = 0; i < 16; ++i) {
-    streaming.push(chunk, sink);
-  }
-  EXPECT_EQ(esl::testing::allocation_count() - before, 0u);
-  EXPECT_EQ(sink.windows - emitted_before, 16u)  // one window per 1 s chunk
-      << "measured region must actually emit windows";
 }
 
 }  // namespace

@@ -206,7 +206,9 @@ class NetLoopback : public ::testing::Test {
           engine.ingest(s, chunk_views(record, round * k_chunk, k_chunk));
         }
       }
-      for (const Detection& d : engine.poll()) {
+      std::vector<Detection> detections;
+      engine.poll_into(detections);
+      for (const Detection& d : detections) {
         outcomes[d.session_id].push_back(outcome_of(d));
       }
     }

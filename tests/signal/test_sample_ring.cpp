@@ -27,7 +27,6 @@ TEST(SampleRing, PushAndCopyFrontPreservesOrder) {
   const RealVector v = iota(5);
   ring.push(v);
   EXPECT_EQ(ring.size(), 5u);
-  EXPECT_FALSE(ring.full());
 
   RealVector out(5);
   ring.copy_front(5, out);
@@ -39,8 +38,6 @@ TEST(SampleRing, OverflowDropsOldest) {
   ring.push(iota(3));          // 0 1 2
   ring.push(iota(3, 3.0));     // 3 4 5 -> drops 0 1
   EXPECT_EQ(ring.size(), 4u);
-  EXPECT_TRUE(ring.full());
-  EXPECT_EQ(ring.dropped(), 2u);
 
   RealVector out(4);
   ring.copy_all(out);
@@ -49,26 +46,13 @@ TEST(SampleRing, OverflowDropsOldest) {
 
 TEST(SampleRing, BlockLargerThanCapacityKeepsTail) {
   SampleRing ring(4);
-  ring.push(iota(2));   // pre-fill so the bulk path also accounts them
+  ring.push(iota(2));   // pre-fill so the bulk path also replaces them
   ring.push(iota(10));  // only 6 7 8 9 survive
   EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.dropped(), 8u);  // 2 buffered + 6 of the block
 
   RealVector out(4);
   ring.copy_all(out);
   EXPECT_EQ(out, (RealVector{6.0, 7.0, 8.0, 9.0}));
-}
-
-TEST(SampleRing, DropFrontSlidesWindow) {
-  SampleRing ring(6);
-  ring.push(iota(6));
-  ring.drop_front(2);
-  EXPECT_EQ(ring.size(), 4u);
-  ring.push(iota(2, 6.0));  // wraps around the physical end
-
-  RealVector out(6);
-  ring.copy_all(out);
-  EXPECT_EQ(out, (RealVector{2.0, 3.0, 4.0, 5.0, 6.0, 7.0}));
 }
 
 TEST(SampleRing, CopyFrontChecksBounds) {
@@ -76,19 +60,9 @@ TEST(SampleRing, CopyFrontChecksBounds) {
   ring.push(iota(2));
   RealVector out(4);
   EXPECT_THROW(ring.copy_front(3, out), InvalidArgument);
-  EXPECT_THROW(ring.drop_front(3), InvalidArgument);
-}
-
-TEST(SampleRing, ClearResets) {
-  SampleRing ring(4);
-  ring.push(iota(6));
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  ring.push(iota(1));
-  RealVector out(1);
-  ring.copy_all(out);
-  EXPECT_EQ(out[0], 0.0);
+  EXPECT_THROW(ring.copy_back(3, out), InvalidArgument);
+  RealVector small(1);
+  EXPECT_THROW(ring.copy_back(2, small), InvalidArgument);
 }
 
 TEST(SampleRing, ManySmallPushesMatchOneBigPush) {
@@ -110,13 +84,13 @@ TEST(SampleRing, ManySmallPushesMatchOneBigPush) {
 
 TEST(SampleRing, RandomOperationsMatchDequeOracle) {
   // Random push sizes (some above capacity, which take the bulk path),
-  // interleaved with drop_front and copy_front, against a deque that
-  // keeps the newest `capacity` samples and counts what it discards.
+  // interleaved with reads of the oldest and of the newest samples,
+  // against a deque that keeps the newest `capacity` samples. Thousands
+  // of pushes wrap the storage many times, so reads straddle its end.
   Rng rng(29);
   for (const std::size_t capacity : {1u, 2u, 7u, 64u}) {
     SampleRing ring(capacity);
     std::deque<Real> oracle;
-    std::size_t oracle_dropped = 0;
     Real next = 0.0;
     for (int step = 0; step < 2000; ++step) {
       const std::uint64_t op = rng.uniform_index(4);
@@ -129,25 +103,24 @@ TEST(SampleRing, RandomOperationsMatchDequeOracle) {
         }
         while (oracle.size() > capacity) {
           oracle.pop_front();
-          ++oracle_dropped;
         }
         ring.push(block);
-      } else if (op == 2) {
-        const std::size_t count = rng.uniform_index(oracle.size() + 1);
-        ring.drop_front(count);
-        oracle.erase(oracle.begin(),
-                     oracle.begin() + static_cast<std::ptrdiff_t>(count));
       } else {
         const std::size_t count = rng.uniform_index(oracle.size() + 1);
         RealVector out(count);
-        ring.copy_front(count, out);
-        ASSERT_TRUE(std::equal(out.begin(), out.end(), oracle.begin()))
-            << "capacity " << capacity << ", step " << step;
+        if (op == 2) {
+          ring.copy_front(count, out);
+          ASSERT_TRUE(std::equal(out.begin(), out.end(), oracle.begin()))
+              << "capacity " << capacity << ", step " << step;
+        } else {
+          ring.copy_back(count, out);
+          ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                 oracle.end() -
+                                     static_cast<std::ptrdiff_t>(count)))
+              << "capacity " << capacity << ", step " << step;
+        }
       }
       ASSERT_EQ(ring.size(), oracle.size())
-          << "capacity " << capacity << ", step " << step;
-      ASSERT_EQ(ring.full(), oracle.size() == capacity);
-      ASSERT_EQ(ring.dropped(), oracle_dropped)
           << "capacity " << capacity << ", step " << step;
     }
     RealVector all(ring.size());

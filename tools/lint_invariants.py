@@ -28,11 +28,12 @@ Checks (all scoped to src/):
    design, so TSan checks them instead.
 
 4. one-spelling-per-transform — a header in src/common, src/dsp,
-   src/entropy or src/features that declares `name_into(` must not also
-   declare `name(`. The workspace/scratch `_into` form is the only way
-   to compute a window: a second, allocating spelling beside it is a
-   parallel implementation that only tests and benches end up calling.
-   Tests call the `_into` form with a local dsp::Workspace or scratch.
+   src/entropy, src/features or src/engine that declares `name_into(`
+   must not also declare `name(`. The workspace/scratch `_into` form is
+   the only way to compute a window or drain a poll: a second,
+   allocating spelling beside it is a parallel implementation that only
+   tests and benches end up calling. Tests call the `_into` form with a
+   local dsp::Workspace, scratch or output vector.
 
 5. no-blocking-send-in-net — no `send_all(` call and no raw
    `::send`/`::write` family syscall in src/net. A ShardServer stops
@@ -70,7 +71,7 @@ SRC = REPO_ROOT / "src"
 
 HOT_CONTRACT_DIRS = ("dsp", "ml", "engine", "net")
 HOT_LOOP_DIRS = ("dsp", "ml")
-ONE_SPELLING_DIRS = ("common", "dsp", "entropy", "features")
+ONE_SPELLING_DIRS = ("common", "dsp", "entropy", "engine", "features")
 NO_BLOCKING_SEND_DIRS = ("net",)
 # Trees whose code counts as a real caller for no-test-only-surface.
 NON_TEST_DIRS = ("src", "bench", "examples", "perfbench", "fuzz")
